@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark) for the hot paths: certification
-// checks, payload projection, the simulator's event loop, the end-to-end
-// certification pipeline and the history checkers.
+// checks, payload projection, the replica log's transaction lookup, the
+// simulator's event loop, the end-to-end certification pipeline and the
+// history checkers.
 #include <benchmark/benchmark.h>
 
 #include "checker/linearization.h"
 #include "commit/cluster.h"
+#include "commit/log.h"
 #include "common/random.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -65,6 +67,33 @@ void BM_PayloadProjection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PayloadProjection);
+
+void BM_ReplicaLogSlotOf(benchmark::State& state) {
+  // The PREPARE-time "already has a slot?" check (Fig. 1 line 6) on a log of
+  // range(0) filled slots; range(1) = 1 looks up transactions in the log,
+  // 0 transactions absent from it (every fresh PREPARE).  The cost should
+  // not depend on the log's length.
+  const Slot len = static_cast<Slot>(state.range(0));
+  const bool hit = state.range(1) != 0;
+  commit::ReplicaLog log;
+  for (Slot k = 1; k <= len; ++k) log.prepare(k, 7 * k);
+  Rng rng(6);
+  std::vector<TxnId> queries;
+  for (int i = 0; i < 1024; ++i) {
+    TxnId t = 7 * (1 + rng.below(len));
+    queries.push_back(hit ? t : t + 1);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(log.slot_of(queries[i++ & 1023]));
+  }
+}
+BENCHMARK(BM_ReplicaLogSlotOf)
+    ->ArgNames({"len", "hit"})
+    ->Args({1 << 10, 1})
+    ->Args({1 << 10, 0})
+    ->Args({1 << 16, 1})
+    ->Args({1 << 16, 0});
 
 void BM_SimulatorEventLoop(benchmark::State& state) {
   for (auto _ : state) {

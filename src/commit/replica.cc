@@ -271,9 +271,7 @@ PrepareAck Replica::prepare_txn(const Prepare& m) {
   } else {
     // Lines 9-17: append to the certification order and vote.
     next_ += 1;
-    LogEntry& e = log_.at(next_);
-    e.txn = m.txn;
-    e.phase = Phase::kPrepared;
+    LogEntry& e = log_.prepare(next_, m.txn);
     e.meta = m.meta;
     // The CSN-log stamp: final for the slot's life, replayed verbatim by the
     // stored-result path above so csn(t) is stable across prepare retries.
@@ -494,13 +492,12 @@ bool Replica::apply_accept(ProcessId from, const Accept& m, AcceptAck* ack,
   // RDMA variant loses (Sec. 5) — see rdma/replica.cc.
   if (status_ != Status::kFollower) return false;
   if (view(options_.shard).epoch != m.epoch) return false;
-  LogEntry& e = log_.at(m.slot);
-  if (e.phase == Phase::kStart) {
+  const LogEntry* current = log_.find(m.slot);
+  if (current == nullptr || !current->filled()) {
     // Line 24 (the paper writes `next`; the intended index is k).
-    e.txn = m.txn;
+    LogEntry& e = log_.prepare(m.slot, m.txn);
     e.payload = m.payload;
     e.vote = m.vote;
-    e.phase = Phase::kPrepared;
     e.meta = m.meta;
     e.prepare_ts = m.prepare_ts;  // the leader's CSN stamp, replicated
     prepared_at_[m.slot] = rt().now();
@@ -607,10 +604,8 @@ void Replica::handle_decision(ProcessId from, const DecisionMsg& m) {
   if (status_ == Status::kReconfiguring) return;
   if (view(options_.shard).epoch < m.epoch) return;
   // Line 32.
-  LogEntry& e = log_.at(m.slot);
-  if (e.phase == Phase::kStart) e.txn = m.txn;  // decision for a hole (abort only)
+  LogEntry& e = log_.decide(m.slot, m.txn);  // a hole takes m.txn (abort only)
   e.dec = m.decision;
-  e.phase = Phase::kDecided;
   e.csn_ts = m.csn_ts;
   prepared_at_.erase(m.slot);
   index_.on_decided(log_, m.slot);

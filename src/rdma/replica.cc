@@ -269,9 +269,7 @@ commit::PrepareAck Replica::prepare_txn(const commit::Prepare& m) {
   } else {
     // Lines 82-90.
     next_ += 1;
-    commit::LogEntry& e = log_.at(next_);
-    e.txn = m.txn;
-    e.phase = commit::Phase::kPrepared;
+    commit::LogEntry& e = log_.prepare(next_, m.txn);
     e.meta = m.meta;
     // The CSN-log stamp: final for the slot's life (see commit::Replica).
     e.prepare_ts = rt().now();
@@ -510,11 +508,9 @@ void Replica::check_coordination(TxnId txn) {
 
 void Replica::apply_raccept(const RAccept& a) {
   // Line 95: no guard — the write already landed; the CPU just records it.
-  commit::LogEntry& e = log_.at(a.slot);
-  e.txn = a.txn;
+  commit::LogEntry& e = log_.prepare(a.slot, a.txn);
   e.payload = a.payload;
   e.vote = a.vote;
-  e.phase = commit::Phase::kPrepared;
   e.meta = a.meta;
   e.prepare_ts = a.prepare_ts;  // the leader's CSN stamp, replicated
   prepared_at_[a.slot] = rt().now();
@@ -523,10 +519,8 @@ void Replica::apply_raccept(const RAccept& a) {
 
 void Replica::apply_rdecision(const RDecision& d) {
   // Line 102.
-  commit::LogEntry& e = log_.at(d.slot);
-  if (e.phase == commit::Phase::kStart) e.txn = d.txn;
+  commit::LogEntry& e = log_.decide(d.slot, d.txn);
   e.dec = d.decision;
-  e.phase = commit::Phase::kDecided;
   e.csn_ts = d.csn_ts;
   prepared_at_.erase(d.slot);
   index_.on_decided(log_, d.slot);

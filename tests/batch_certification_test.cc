@@ -116,11 +116,9 @@ void run_index_equivalence(const tcs::Certifier& cert, std::uint64_t seed) {
         << cert.name() << " vote diverged at slot " << k << " (seed " << seed << ")";
     expect_same_witnesses(idx.collect(log, k), flat, k);
 
-    LogEntry& e = log.at(k);
-    e.txn = static_cast<TxnId>(k);
+    LogEntry& e = log.prepare(k, static_cast<TxnId>(k));
     e.payload = l;
     e.vote = indexed;
-    e.phase = Phase::kPrepared;
     idx.on_prepared(log, k);
     prepared_slots.push_back(k);
 
@@ -131,10 +129,9 @@ void run_index_equivalence(const tcs::Certifier& cert, std::uint64_t seed) {
       std::size_t pick = rng.below(prepared_slots.size());
       Slot j = prepared_slots[pick];
       prepared_slots.erase(prepared_slots.begin() + static_cast<std::ptrdiff_t>(pick));
-      LogEntry& d = log.at(j);
+      LogEntry& d = log.decide(j, static_cast<TxnId>(j));
       d.dec = (d.vote == Decision::kCommit && rng.chance(0.8)) ? Decision::kCommit
                                                                : Decision::kAbort;
-      d.phase = Phase::kDecided;
       idx.on_decided(log, j);
     }
   }
