@@ -137,9 +137,9 @@ struct CrashRunResult {
 /// Open-loop run against the 2PC baseline with a coordinator crash (plus
 /// leader failover) one third in; with cooperative termination the stranded
 /// transactions resolve and their objects unpoison.
-CrashRunResult baseline_crash_run(bool cooperative_termination) {
+CrashRunResult baseline_crash_run(baseline::Termination termination) {
   baseline::BaselineCluster cluster({.seed = 41, .num_shards = 2, .shard_size = 3,
-                                     .cooperative_termination = cooperative_termination});
+                                     .termination = termination});
   baseline::BaselineClient& client = cluster.add_client();
   store::VersionedStore db;
   Rng rng(99);
@@ -212,8 +212,8 @@ int main() {
       "in-doubt transactions whose peers decided and releases their objects");
   std::printf("%-24s | %10s %10s %10s\n", "baseline variant", "abort", "undecided",
               "committed");
-  CrashRunResult classical = baseline_crash_run(false);
-  CrashRunResult coop = baseline_crash_run(true);
+  CrashRunResult classical = baseline_crash_run(baseline::Termination::kClassical);
+  CrashRunResult coop = baseline_crash_run(baseline::Termination::kCooperative);
   std::printf("%-24s | %9.1f%% %10zu %10zu\n", "classical 2PC",
               100 * classical.abort_rate, classical.undecided, classical.committed);
   std::printf("%-24s | %9.1f%% %10zu %10zu\n", "cooperative termination",

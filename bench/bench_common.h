@@ -53,7 +53,6 @@ class Rig {
 using CommitRig = Rig<commit::Cluster, store::CommitFrontend>;
 using RdmaRig = Rig<rdma::Cluster, store::RdmaFrontend>;
 using BaselineRig = Rig<baseline::BaselineCluster, store::BaselineFrontend>;
-using PcRig = Rig<pc::PcCluster, store::PaxosCommitFrontend>;
 
 /// Payload reading (and optionally writing) one object per listed id.
 inline tcs::Payload payload_on(std::vector<ObjectId> reads, std::vector<ObjectId> writes,

@@ -17,7 +17,6 @@
 #include "bench/bench_common.h"
 #include "bench/bench_report.h"
 #include "commit/cluster.h"
-#include "pc/cluster.h"
 
 using namespace ratc;
 using bench::payload_on;
@@ -51,28 +50,14 @@ Cost measure_ours(std::size_t f) {
   return c;
 }
 
-Cost measure_baseline(std::size_t f) {
-  baseline::BaselineCluster cluster({.seed = 2, .num_shards = 2,
-                                     .shard_size = 2 * f + 1});
+/// The 2f+1 rungs: the 2PC-over-Paxos baseline and, under the Paxos Commit
+/// termination policy, Paxos Commit.
+Cost measure_baseline(std::size_t f, std::uint64_t seed,
+                      baseline::Termination termination) {
+  baseline::BaselineCluster cluster({.seed = seed, .num_shards = 2,
+                                     .shard_size = 2 * f + 1,
+                                     .termination = termination});
   baseline::BaselineClient& client = cluster.add_client();
-  const std::size_t n = txns();
-  for (std::size_t i = 0; i < n; ++i) {
-    tcs::Payload p =
-        payload_on({static_cast<ObjectId>(2 * i), static_cast<ObjectId>(2 * i + 1)},
-                   {static_cast<ObjectId>(2 * i)});
-    client.certify(cluster.coordinator_for(p), cluster.next_txn_id(), p);
-  }
-  cluster.sim().run();
-  Cost c;
-  c.replicas = 2 * (2 * f + 1);
-  c.msgs_per_txn = static_cast<double>(cluster.net().total_messages()) / n;
-  c.bytes_per_txn = static_cast<double>(cluster.net().total_bytes()) / n;
-  return c;
-}
-
-Cost measure_paxos_commit(std::size_t f) {
-  pc::PcCluster cluster({.seed = 3, .num_shards = 2, .shard_size = 2 * f + 1});
-  pc::PcClient& client = cluster.add_client();
   const std::size_t n = txns();
   for (std::size_t i = 0; i < n; ++i) {
     tcs::Payload p =
@@ -117,8 +102,8 @@ int main() {
     Cost ours = measure_ours(f);
     // The baseline needs at least 1 replica; f=0 means a single unreplicated
     // process there too (degenerate but comparable).
-    Cost base = measure_baseline(f);
-    Cost paxc = measure_paxos_commit(f);
+    Cost base = measure_baseline(f, 2, baseline::Termination::kClassical);
+    Cost paxc = measure_baseline(f, 3, baseline::Termination::kPaxosCommit);
     std::printf("%3zu | %8zu %9.1f %9.0f | %8zu %9.1f %9.0f | %8zu %9.1f %9.0f\n",
                 f, ours.replicas, ours.msgs_per_txn, ours.bytes_per_txn,
                 base.replicas, base.msgs_per_txn, base.bytes_per_txn,

@@ -61,18 +61,14 @@ store::RunnerStats run_rdma(std::uint32_t shards, std::size_t window,
 }
 
 store::RunnerStats run_baseline(std::uint32_t shards, std::size_t window,
-                                bool cooperative_termination,
+                                baseline::Termination termination,
                                 std::size_t batch = 1) {
-  bench::BaselineRig rig({.seed = 18, .num_shards = shards, .shard_size = 3,
-                          .cooperative_termination = cooperative_termination},
+  // Paxos Commit's rows use their own cluster seed, so BENCH_throughput.json
+  // stays comparable with runs from before the stacks were merged.
+  const std::uint64_t seed = termination == baseline::Termination::kPaxosCommit ? 20 : 18;
+  bench::BaselineRig rig({.seed = seed, .num_shards = shards, .shard_size = 3,
+                          .termination = termination},
                          workload_for(shards), 3, window, batch);
-  return rig.run(txns());
-}
-
-store::RunnerStats run_pc(std::uint32_t shards, std::size_t window,
-                          std::size_t batch = 1) {
-  bench::PcRig rig({.seed = 20, .num_shards = shards, .shard_size = 3},
-                   workload_for(shards), 3, window, batch);
   return rig.run(txns());
 }
 
@@ -95,9 +91,9 @@ int main() {
               "mean lat");
   for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     store::RunnerStats ours = run_ours(shards, 32);
-    store::RunnerStats base = run_baseline(shards, 32, false);
-    store::RunnerStats coop = run_baseline(shards, 32, true);
-    store::RunnerStats paxc = run_pc(shards, 32);
+    store::RunnerStats base = run_baseline(shards, 32, baseline::Termination::kClassical);
+    store::RunnerStats coop = run_baseline(shards, 32, baseline::Termination::kCooperative);
+    store::RunnerStats paxc = run_baseline(shards, 32, baseline::Termination::kPaxosCommit);
     std::printf(
         "%8u | %10.1f %11.1f | %10.1f %11.1f | %10.1f %11.1f | %10.1f %11.1f\n",
         shards, ours.throughput(), ours.mean_latency(), base.throughput(),
@@ -138,7 +134,8 @@ int main() {
     };
     NamedRun runs[] = {{"commit", run_ours(4, 256, batch)},
                        {"rdma", run_rdma(4, 256, batch)},
-                       {"baseline", run_baseline(4, 256, false, batch)}};
+                       {"baseline", run_baseline(4, 256, baseline::Termination::kClassical,
+                                                 batch)}};
     for (const NamedRun& r : runs) {
       std::printf("%10s | %9zu | %10.1f %8.1f %8llu %8llu | %8.1f%%\n",
                   r.stack, batch, r.stats.throughput(), r.stats.mean_latency(),
@@ -247,20 +244,11 @@ int main() {
       }
     }
   };
-  auto baseline_rung = [&](bool coop) {
+  auto baseline_rung = [&](baseline::Termination termination) {
     baseline::BaselineCluster cluster({.seed = 29, .num_shards = 2,
                                        .shard_size = 5,
-                                       .cooperative_termination = coop});
+                                       .termination = termination});
     store::BaselineFrontend frontend(cluster);
-    LadderCell cell = drive(cluster, frontend, [&](ShardId s) {
-      strike_leader(cluster, s);
-    });
-    cell.blocked = cluster.termination_stats().blocked;
-    return cell;
-  };
-  auto pc_rung = [&] {
-    pc::PcCluster cluster({.seed = 29, .num_shards = 2, .shard_size = 5});
-    store::PaxosCommitFrontend frontend(cluster);
     LadderCell cell = drive(cluster, frontend, [&](ShardId s) {
       strike_leader(cluster, s);
     });
@@ -300,9 +288,9 @@ int main() {
     const char* stack;
     LadderCell cell;
   };
-  NamedCell cells[] = {{"baseline-2pc", baseline_rung(false)},
-                       {"baseline-coop", baseline_rung(true)},
-                       {"paxos-commit", pc_rung()},
+  NamedCell cells[] = {{"baseline-2pc", baseline_rung(baseline::Termination::kClassical)},
+                       {"baseline-coop", baseline_rung(baseline::Termination::kCooperative)},
+                       {"paxos-commit", baseline_rung(baseline::Termination::kPaxosCommit)},
                        {"commit", commit_rung()}};
   for (const NamedCell& c : cells) {
     std::printf("%14s | %9.1f %6llu %6llu | %9.1f%% %8.1f%% | %8llu\n",

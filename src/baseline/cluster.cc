@@ -37,7 +37,7 @@ BaselineCluster::BaselineCluster(Options options)
       sopt.shard = s;
       sopt.shard_map = &shard_map_;
       sopt.certifier = certifier_.get();
-      sopt.cooperative_termination = options_.cooperative_termination;
+      sopt.termination = options_.termination;
       sopt.in_doubt_timeout = options_.in_doubt_timeout;
       sopt.termination_retry_every = options_.termination_retry_every;
       sopt.termination_max_rounds = options_.termination_max_rounds;

@@ -1,6 +1,7 @@
-// Harness for the baseline 2PC-over-Paxos TCS: builds shards of 2f+1
-// servers (each paired with a Paxos replica), a routing table of shard
-// leaders, and history-recording clients.
+// Harness for the baseline 2PC-over-Paxos TCS under any termination policy
+// (classical, cooperative, Paxos Commit): builds shards of 2f+1 servers
+// (each paired with a Paxos replica), a routing table of shard leaders, and
+// history-recording clients.
 #pragma once
 
 #include <map>
@@ -98,11 +99,11 @@ class BaselineCluster {
     bool exponential_delays = false;
     double delay_mean = 5.0;
     bool enable_tracer = false;
-    /// Classic 2PC fix (baseline/termination.h): participants holding
-    /// in-doubt prepared records query their peer shards to resolve the
-    /// outcome after a coordinator crash.  Off = the paper's strawman.
-    bool cooperative_termination = false;
-    /// Forwarded to ShardServer::Options when cooperative_termination.
+    /// Termination policy of every shard server (baseline/termination.h):
+    /// kClassical is the paper's strawman, kCooperative the classic 2PC
+    /// fix, kPaxosCommit Gray & Lamport's non-blocking Paxos Commit.
+    Termination termination = Termination::kClassical;
+    /// Forwarded to ShardServer::Options (used by the recovery policies).
     Duration in_doubt_timeout = 300;
     Duration termination_retry_every = 160;
     int termination_max_rounds = 5;
@@ -157,8 +158,8 @@ class BaselineCluster {
   const tcs::ShardMap& shard_map() const { return shard_map_; }
   const tcs::Certifier& certifier() const { return *certifier_; }
 
-  /// Aggregate cooperative-termination counters over every shard server
-  /// (all zero when the toggle is off).
+  /// Aggregate termination counters over every shard server (all zero
+  /// under kClassical).
   TerminationStats termination_stats() const;
 
   /// Read-only snapshot transaction, leader-gated: the baseline lacks the

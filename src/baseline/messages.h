@@ -3,7 +3,8 @@
 // and every 2PC action (prepare vote, decision) is replicated before it
 // takes effect.  This is the "vanilla scheme" of the paper's introduction,
 // whose latency is 7 message delays from the coordinator, against which
-// experiments E2-E4 compare.
+// experiments E2-E4 compare.  The same vocabulary carries every termination
+// policy (baseline/termination.h), Paxos Commit included.
 #pragma once
 
 #include <vector>
@@ -72,7 +73,8 @@ struct Vote {
   tcs::Decision vote = tcs::Decision::kAbort;
 };
 
-/// Coordinator -> participant shard leader: replicate the decision.
+/// Coordinator (or recovery proposer) -> participant shard leader: replicate
+/// the decision.
 struct SubmitDecide {
   static constexpr const char* kName = "B_SUBMIT_DECIDE";
   TxnId txn = 0;
@@ -87,7 +89,7 @@ struct BClientDecision {
   Time csn_ts = 0;  ///< csn(t).ts for commits (the coordinator's stamp)
 };
 
-// --- cooperative termination (optional; see baseline/termination.h) -----------
+// --- termination (recovery policies; see baseline/termination.h) --------------
 
 /// Participant (shard leader holding an in-doubt prepared record) -> peer
 /// shard leaders: what do you durably know about this transaction?  The
@@ -145,7 +147,8 @@ struct CmdDecide {
 /// durably tombstones it as aborted (a later prepare then votes abort); if a
 /// prepare won the race into the log, the shard's actual state stands.  The
 /// current leader answers `querier` either way, so the answer is always a
-/// fact about the applied prefix, never about a transient.
+/// fact about the applied prefix, never about a transient.  Under Paxos
+/// Commit this is what forces the shard's vote instance closed with ABORT.
 struct CmdResolveAbort {
   static constexpr const char* kName = "B_CMD_RESOLVE_ABORT";
   TxnId txn = 0;

@@ -18,7 +18,7 @@ ShardServer::ShardServer(rt::Runtime& rt, ProcessId id, Options options)
       store_(options_.snapshot_history_depth),
       responder_(rt, id) {
   assert(options_.shard_map != nullptr && options_.certifier != nullptr);
-  if (options_.cooperative_termination) {
+  if (recovery()) {
     fd_monitor_ = std::make_unique<fd::PingMonitor>(rt, id, options_.fd);
     fd_monitor_->subscribe({.on_suspect = [this](ProcessId coordinator) {
       on_coordinator_suspected(coordinator);
@@ -184,9 +184,8 @@ void ShardServer::apply_prepare(const CmdPrepare& c) {
     st.coordinator = c.coordinator;
     st.prepare_ts = c.prepare_ts;
     if (st.decided) {
-      // A cooperative-termination tombstone beat the prepare into the log:
-      // this shard already promised abort to a querier, so the vote must
-      // honour it.
+      // A termination tombstone beat the prepare into the log: this shard
+      // already promised abort to a querier, so the vote must honour it.
       st.vote = Decision::kAbort;
     } else {
       // Deterministic vote: certify against the applied prefix.
@@ -211,7 +210,7 @@ void ShardServer::apply_prepare(const CmdPrepare& c) {
       rt().send_msg(id(), c.coordinator, Vote{c.txn, options_.shard, st.vote});
     }
   }
-  if (options_.cooperative_termination && !st.decided && c.coordinator != id()) {
+  if (recovery() && !st.decided && c.coordinator != id()) {
     note_in_doubt(c.txn, c.coordinator);
   }
 }
@@ -243,21 +242,24 @@ void ShardServer::apply_decide(const CmdDecide& c) {
   }
 
   // The in-doubt window (if any) closes with the decision.
-  if (options_.cooperative_termination) {
+  if (recovery()) {
     auto tit = term_.find(c.txn);
     if (tit != term_.end()) tit->second.concluded = true;
     clear_in_doubt(c.txn, st.coordinator);
   }
 
   // Coordinator side: once the decision is durable in the coordinator's own
-  // shard, reply to the client and propagate to the other shards.
+  // shard, reply to the client and propagate to the other shards.  Under
+  // Paxos Commit maybe_decide has usually replied already; this reply only
+  // runs when a recovery proposer terminated the round before this (live)
+  // coordinator collected every vote.
   Time csn_ts = c.decision == Decision::kCommit ? st.prepare_ts : 0;
   auto cit = coord_.find(c.txn);
   if (cit != coord_.end() && !cit->second.replied && paxos_->is_leader()) {
     cit->second.replied = true;
     announce_decision(c.txn, c.decision, cit->second.participants,
                       cit->second.client, csn_ts);
-  } else if (options_.cooperative_termination && paxos_->is_leader() &&
+  } else if (recovery() && paxos_->is_leader() &&
              cit == coord_.end() && !st.participants.empty() &&
              st.participants.front() == options_.shard && st.coordinator != id()) {
     // Orphaned coordination: this shard hosted the transaction's 2PC
@@ -305,7 +307,8 @@ void ShardServer::handle_vote(const Vote& m) {
 
 void ShardServer::maybe_decide(TxnId t) {
   CoordState& c = coord_.at(t);
-  if (c.decision_submitted) return;
+  // Under Paxos Commit a reply already sent (apply_decide) ends the round.
+  if (c.decision_submitted || (paxos_commit() && c.replied)) return;
   Decision d = Decision::kCommit;
   for (ShardId s : c.participants) {
     auto vit = c.votes.find(s);
@@ -313,12 +316,26 @@ void ShardServer::maybe_decide(TxnId t) {
     d = meet(d, vit->second);
   }
   c.decision_submitted = true;
-  // Make the decision durable in the coordinator's own group first; the
-  // reply and propagation happen when it applies (apply_decide).
+  if (!paxos_commit()) {
+    // Make the decision durable in the coordinator's own group first; the
+    // reply and propagation happen when it applies (apply_decide).
+    paxos_->submit(sim::AnyMessage(CmdDecide{t, d}));
+    return;
+  }
+  // Paxos Commit: every vote instance is chosen (votes are emitted at apply
+  // time), so the outcome — a pure function of the votes — is already
+  // decided in the Paxos sense.  Externalize it now, in parallel with every
+  // group's decide.  A crash between here and the broadcast strands
+  // nothing: any recovery proposer re-derives the same outcome.  `replied`
+  // is set before the submit because a single-replica group applies the
+  // decide synchronously.
+  c.replied = true;
   paxos_->submit(sim::AnyMessage(CmdDecide{t, d}));
+  announce_decision(t, d, c.participants, c.client,
+                    d == Decision::kCommit ? c.prepare_ts : 0);
 }
 
-// --- cooperative termination ----------------------------------------------------
+// --- termination (recovery policies) ---------------------------------------------
 
 void ShardServer::note_in_doubt(TxnId t, ProcessId coordinator) {
   in_doubt_[coordinator].insert(t);
@@ -367,8 +384,9 @@ void ShardServer::start_termination_round(TxnId t) {
   // retry chain so every run quiesces.
   const int hard_cap = 4 * options_.termination_max_rounds;
   if (ts.leader_rounds >= options_.termination_max_rounds || ts.rounds >= hard_cap) {
-    // Give up: every reachable participant is in doubt.  The transaction
-    // stays blocked — classical 2PC's irreducible window.
+    // Give up: every reachable participant is in doubt (cooperative: 2PC's
+    // irreducible window), or some peer stayed unreachable for every round
+    // (Paxos Commit, whose reachable peers always answer a chosen vote).
     ts.concluded = true;
     if (paxos_->is_leader()) ++term_stats_.blocked;
     clear_in_doubt(t, st.coordinator);
@@ -437,7 +455,7 @@ void ShardServer::handle_termination_answer(const TerminationAnswer& a) {
 void ShardServer::maybe_conclude_termination(TxnId t) {
   const TxnState& st = txns_.at(t);
   TermState& ts = term_.at(t);
-  switch (infer_termination(ts.answers, st.participants.size())) {
+  switch (infer_termination(ts.answers, st.participants.size(), options_.termination)) {
     case TerminationOutcome::kCommit:
       resolve_in_doubt(t, Decision::kCommit);
       break;
@@ -445,9 +463,10 @@ void ShardServer::maybe_conclude_termination(TxnId t) {
       resolve_in_doubt(t, Decision::kAbort);
       break;
     case TerminationOutcome::kBlocked:
-      // All participants answered "in doubt".  Do not conclude yet: a peer
-      // may still apply a decision that was in flight through its group
-      // (retry rounds re-query); give up only when the rounds run out.
+      // All participants answered "in doubt" (cooperative only).  Do not
+      // conclude yet: a peer may still apply a decision that was in flight
+      // through its group (retry rounds re-query); give up only when the
+      // rounds run out.
       break;
     case TerminationOutcome::kUnknown:
       break;

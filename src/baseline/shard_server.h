@@ -5,18 +5,29 @@
 // command prefix, so every replica of a shard computes identical votes —
 // the standard state-machine-replication discipline.  Only the replica
 // that currently leads its Paxos group emits the Vote/decision messages.
+// The vote for a transaction is fixed by the FIRST vote-determining entry
+// in the shard's log: a CmdPrepare, or a querier's CmdResolveAbort
+// tombstone; log order arbitrates races between the two.
 //
-// With Options::cooperative_termination the classic 2PC fix is bolted on
-// (baseline/termination.h): every replica tracks its in-doubt transactions
-// (prepared, undecided, remote coordinator), watches their coordinators
-// through an fd::PingMonitor, and — on suspicion or after an in-doubt
-// timeout — the shard's current leader broadcasts TerminationQuery to the
-// peer shards and resolves from their answers.  Peers answer durable facts
-// only: a never-prepared peer first tombstones the transaction as aborted
-// through its own Paxos log (CmdResolveAbort), letting the log order
-// arbitrate races with an in-flight prepare.  Rounds are bounded, so a run
-// always quiesces; all-prepared transactions remain blocked — the
-// irreducible 2PC window the paper's protocols remove.
+// Options::termination picks one of three policies (baseline/termination.h):
+//  * kClassical — blocking 2PC: a crashed coordinator strands its in-flight
+//    transactions.
+//  * kCooperative — every replica tracks its in-doubt transactions
+//    (prepared, undecided, remote coordinator), watches their coordinators
+//    through an fd::PingMonitor, and — on suspicion or after an in-doubt
+//    timeout — the shard's current leader broadcasts TerminationQuery to
+//    the peer shards and resolves from their answers.  Peers answer durable
+//    facts only: a never-prepared peer first tombstones the transaction as
+//    aborted through its own Paxos log (CmdResolveAbort).  Rounds are
+//    bounded, so a run always quiesces; all-prepared transactions remain
+//    blocked — the irreducible 2PC window the paper's protocols remove.
+//  * kPaxosCommit — the same recovery machinery, but every vote is a chosen
+//    consensus value, so an all-prepared answer set resolves to COMMIT and
+//    `blocked` only counts give-ups against unreachable peers.  The
+//    coordinator also answers the client as soon as every vote is chosen
+//    and replicates the decide in parallel — one replicated round less on
+//    the critical path than the other two policies, which reply once their
+//    own shard's CmdDecide applies.
 #pragma once
 
 #include <map>
@@ -43,8 +54,8 @@ class ShardServer : public sim::Process {
     ShardId shard = 0;
     const tcs::ShardMap* shard_map = nullptr;
     const tcs::Certifier* certifier = nullptr;
-    /// Enables cooperative termination (off = classical blocking 2PC).
-    bool cooperative_termination = false;
+    /// How participants finish a transaction whose coordinator went silent.
+    Termination termination = Termination::kClassical;
     /// In-doubt fallback: query peers this long after preparing even if the
     /// failure detector never fires (covers a live coordinator whose
     /// decision message was lost).
@@ -125,9 +136,9 @@ class ShardServer : public sim::Process {
     Time prepare_ts = 0;  ///< the stamp this coordinator issued for t
     std::map<ShardId, tcs::Decision> votes;
     bool decision_submitted = false;
-    bool replied = false;
+    bool replied = false;  ///< client answered and peers told the decision
   };
-  /// Per-transaction cooperative-termination progress (querier side).
+  /// Per-transaction termination progress (querier side).
   /// Followers re-arm the retry timer without consuming the query budget —
   /// a replica elected leader mid-protocol still gets its full
   /// termination_max_rounds of queries; `rounds` (total fires, leader or
@@ -153,7 +164,11 @@ class ShardServer : public sim::Process {
   void apply_resolve_abort(const CmdResolveAbort& c);
   void maybe_decide(TxnId t);
 
-  // --- cooperative termination -------------------------------------------------
+  /// Recovery is on for every policy but kClassical.
+  bool recovery() const { return options_.termination != Termination::kClassical; }
+  bool paxos_commit() const { return options_.termination == Termination::kPaxosCommit; }
+
+  // --- termination (recovery policies) -----------------------------------------
   void handle_termination_query(ProcessId from, const TerminationQuery& q);
   void handle_termination_answer(const TerminationAnswer& a);
   /// Marks t in doubt (prepared, undecided, coordinator elsewhere): watch
@@ -189,11 +204,11 @@ class ShardServer : public sim::Process {
   /// deterministic across replicas (csn = the replicated coordinator stamp).
   store::SnapshotStore store_;
 
-  // Coordinator-side state (not replicated; dies with the coordinator, as
-  // in classical 2PC — the baseline's blocking weakness).
+  // Coordinator-side state (not replicated; dies with the coordinator, which
+  // blocks classical 2PC; the recovery policies finish from replicated state).
   std::map<TxnId, CoordState> coord_;
 
-  // Cooperative-termination state (per replica; only leaders speak).
+  // Termination state (per replica; only leaders speak).
   fd::Responder responder_;
   std::unique_ptr<fd::PingMonitor> fd_monitor_;
   std::map<TxnId, TermState> term_;

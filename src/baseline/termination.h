@@ -1,14 +1,23 @@
-// Cooperative termination for the baseline 2PC stack (Gray & Lamport,
-// "Consensus on Transaction Commit", Sec. 3; also Bernstein/Hadzilacos/
-// Goodman Ch. 7): when a participant holding a prepared-but-undecided
-// record suspects the coordinator, it queries its peer shards, and the
-// classic inference rules resolve the outcome from their durable states.
+// Termination policies of the baseline shard server (ShardServer::Options::
+// termination): how participants finish a transaction whose coordinator went
+// silent.  Both stacks of the strawman ladder run one Multi-Paxos log per
+// shard, so the three rungs differ only here (Gray & Lamport, "Consensus on
+// Transaction Commit": 2PC is the F = 0 case of Paxos Commit):
+//  * kClassical  — no recovery: blocking 2PC, the paper's strawman;
+//  * kCooperative — the classic 2PC fix (Sec. 3; also Bernstein/Hadzilacos/
+//    Goodman Ch. 7): a participant holding a prepared-but-undecided record
+//    queries its peer shards and resolves from their durable states; an
+//    all-prepared answer set stays blocked;
+//  * kPaxosCommit — each shard's vote is a consensus instance, fixed by the
+//    first vote-determining entry in its log (Sec. 4-6), so an all-prepared
+//    answer set resolves to COMMIT: a crashed coordinator could only have
+//    computed commit from these same replicated votes.
 //
-// This header holds the pure, message-free core — the peer-state vocabulary
-// carried in TerminationAnswer, the inference function, and the metrics
-// struct — so the decision table is unit-testable by enumeration
-// (baseline_termination_test.cc) separately from the ShardServer state
-// machine that feeds it.
+// This header holds the pure, message-free core — the policy, the
+// peer-state vocabulary carried in TerminationAnswer, the inference function
+// and the metrics struct — so the decision tables are unit-testable by
+// enumeration (baseline_termination_test.cc) separately from the
+// ShardServer state machine that feeds them.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +27,17 @@
 
 namespace ratc::baseline {
 
+/// The termination policy of a baseline cluster (see the file comment).
+/// Every policy but kClassical turns recovery on: the FD monitor on
+/// coordinators, in-doubt tracking and orphaned-coordination adoption.
+enum class Termination {
+  kClassical = 0,
+  kCooperative = 1,
+  /// Also moves the coordinator's client reply earlier: it answers once every
+  /// vote is chosen instead of once its own shard's decision applies.
+  kPaxosCommit = 2,
+};
+
 /// A peer shard's durable knowledge about a transaction, as answered to a
 /// TerminationQuery.  States are derived from the shard's *applied* Paxos
 /// prefix, so every answer is a replicated fact:
@@ -26,11 +46,14 @@ namespace ratc::baseline {
 ///    abort, and a never-prepared peer answers kAborted once its abort
 ///    tombstone is durable if it had already been created by an earlier
 ///    query round).
-///  * kPrepared — prepared with a YES vote and no decision: in doubt.
+///  * kPrepared — prepared with a YES vote and no decision: in doubt under
+///    kCooperative; under kPaxosCommit the chosen value of the shard's vote
+///    instance, a durable fact.
 ///  * kNeverPrepared — the query arrived before any prepare; the shard
 ///    durably tombstoned the transaction as aborted *before* answering, so
 ///    commit is foreclosed (a later prepare applies after the tombstone and
-///    votes abort).
+///    votes abort).  Under kPaxosCommit this forces the vote instance
+///    closed with ABORT.
 enum class PeerTxnState {
   kNeverPrepared = 0,
   kPrepared = 1,
@@ -54,6 +77,7 @@ enum class TerminationOutcome {
   kCommit = 1,   ///< some peer applied COMMIT: adopt it
   kAbort = 2,    ///< commit is foreclosed (abort applied, NO vote, or tombstone)
   kBlocked = 3,  ///< every participant is in doubt — the irreducible 2PC window
+                 ///< (cooperative only; Paxos Commit resolves it to kCommit)
 };
 
 inline const char* to_string(TerminationOutcome o) {
@@ -66,22 +90,27 @@ inline const char* to_string(TerminationOutcome o) {
   return "?";
 }
 
-/// The classic decision-inference rules over the answers collected so far
-/// (keyed by participant shard; the querier contributes its own durable
-/// state as one answer).  `num_participants` is |shards(t)|:
+/// The decision-inference rules over the answers collected so far (keyed
+/// by participant shard; the querier contributes its own durable state as
+/// one answer).  `num_participants` is |shards(t)|:
 ///  * any kCommitted            => kCommit (a decision exists; adopt it)
 ///  * any kAborted              => kAbort  (decision exists or is foreclosed
 ///                                          by a NO vote)
 ///  * any kNeverPrepared        => kAbort  (the answering shard tombstoned
 ///                                          the txn before answering)
 ///  * all participants answered
-///    kPrepared                 => kBlocked (every vote was YES and no
-///                                          decision survives: only the
-///                                          crashed coordinator knew the
-///                                          outcome — 2PC's blocking window)
+///    kPrepared                 => kBlocked under kCooperative: every vote
+///                                 was YES and no decision survives, so only
+///                                 the crashed coordinator knew the outcome
+///                                 (2PC's blocking window);
+///                                 kCommit under kPaxosCommit: the votes are
+///                                 chosen values, and commit is the only
+///                                 outcome any coordinator could compute
+///                                 from them
 ///  * otherwise                 => kUnknown (keep waiting / retry)
 inline TerminationOutcome infer_termination(
-    const std::map<ShardId, PeerTxnState>& answers, std::size_t num_participants) {
+    const std::map<ShardId, PeerTxnState>& answers, std::size_t num_participants,
+    Termination policy) {
   bool abort_foreclosed = false;
   for (const auto& [shard, state] : answers) {
     (void)shard;
@@ -92,7 +121,8 @@ inline TerminationOutcome infer_termination(
   }
   if (abort_foreclosed) return TerminationOutcome::kAbort;
   if (num_participants > 0 && answers.size() >= num_participants) {
-    return TerminationOutcome::kBlocked;
+    return policy == Termination::kPaxosCommit ? TerminationOutcome::kCommit
+                                               : TerminationOutcome::kBlocked;
   }
   return TerminationOutcome::kUnknown;
 }
@@ -111,7 +141,10 @@ struct TerminationStats {
   std::uint64_t tombstones = 0;      ///< never-prepared txns durably aborted on query
   std::uint64_t resolved_commits = 0;  ///< in-doubt txns resolved to COMMIT
   std::uint64_t resolved_aborts = 0;   ///< in-doubt txns resolved to ABORT
-  std::uint64_t blocked = 0;         ///< gave up: all participants in doubt
+  /// Gave up: all participants in doubt (cooperative), or some peer stayed
+  /// unreachable for every round (Paxos Commit, which has no all-prepared
+  /// window: under pure coordinator crashes this stays 0).
+  std::uint64_t blocked = 0;
   /// Orphaned 2PC rounds finished by a successor leader of the coordinator's
   /// own shard (decision recovered from the replicated log, client answered,
   /// peers informed) — no query round needed.

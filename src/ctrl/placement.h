@@ -1,10 +1,6 @@
-// Controller-facing placement surface.
-//
-// The PlacementPolicy extension point was promoted into the shared
-// reconfiguration module (src/recon/placement.h) when the four reconfigurer
-// copies collapsed into recon::Engine: replica-driven reconfigurations now
-// consult the same policy seam the controllers do.  This header keeps the
-// ctrl:: names as aliases for the controller's callers and holds
+// Controller tuning.  The PlacementPolicy extension point itself lives in
+// the shared reconfiguration module (src/recon/placement.h), which replica-
+// and controller-driven reconfigurations both consult; this header holds
 // ControllerTuning, which is genuinely controller-specific (failure-detector
 // cadence, hysteresis, watchdog).
 #pragma once
@@ -13,12 +9,6 @@
 #include "recon/placement.h"
 
 namespace ratc::ctrl {
-
-using PlacementContext = recon::PlacementContext;
-using PlacementInput = recon::PlacementInput;
-using PlacementPolicy = recon::PlacementPolicy;
-using ReplaceSuspectsPolicy = recon::ReplaceSuspectsPolicy;
-using ZoneAntiAffinityPolicy = recon::ZoneAntiAffinityPolicy;
 
 /// Timing and policy knobs of a ReconController, separated out so cluster
 /// harnesses and StackWorkload can pass them through untouched.

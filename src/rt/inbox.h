@@ -1,28 +1,21 @@
 // MPSC inbox of the threaded runtime: every process owns one, all workers
 // may produce into it, only the owning worker consumes.
 //
-// Two interchangeable queues behind one interface (ThreadedRuntime::Options
-// picks; rt_test runs the FIFO and stress suites against both):
-//  * mutex mode — std::mutex + std::deque, unbounded.  The simple baseline.
-//  * lock-free mode — a bounded Vyukov-style ring (per-cell sequence
-//    numbers).  The fast path: producers and the consumer synchronize only
-//    through the cell seqlocks.  A full ring exerts *backpressure*: push()
-//    spin-yields until a slot frees.  Blocking (rather than spilling to an
-//    overflow list) is what preserves per-sender FIFO order — a message may
-//    never overtake an earlier one from the same sender.  The capacity must
-//    therefore exceed the workload's in-flight burst per process; if every
-//    worker ever blocked pushing simultaneously the system would deadlock,
-//    so size generously (default 1<<16 envelopes ≈ cheap, envelopes are two
-//    words + a shared_ptr).
+// The queue is a bounded Vyukov-style ring (per-cell sequence numbers):
+// producers and the consumer synchronize only through the cell seqlocks.
+// A full ring exerts *backpressure*: push() spin-yields until a slot frees.
+// Blocking (rather than spilling to an overflow list) is what preserves
+// per-sender FIFO order — a message may never overtake an earlier one from
+// the same sender.  The capacity must therefore exceed the workload's
+// in-flight burst per process; if every worker ever blocked pushing
+// simultaneously the system would deadlock, so size generously (default
+// 1<<16 envelopes ≈ cheap, envelopes are two words + a shared_ptr).
 #pragma once
 
 #include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -39,45 +32,30 @@ struct Envelope {
 class Inbox {
  public:
   struct Options {
-    bool lock_free = true;
     std::size_t capacity = 1 << 16;  ///< rounded up to a power of two
   };
 
-  explicit Inbox(Options options) : lock_free_(options.lock_free) {
-    if (lock_free_) {
-      std::size_t cap = 1;
-      while (cap < options.capacity) cap <<= 1;
-      mask_ = cap - 1;
-      cells_ = std::make_unique<Cell[]>(cap);
-      for (std::size_t i = 0; i < cap; ++i) {
-        cells_[i].seq.store(i, std::memory_order_relaxed);
-      }
+  explicit Inbox(Options options) {
+    std::size_t cap = 1;
+    while (cap < options.capacity) cap <<= 1;
+    mask_ = cap - 1;
+    cells_ = std::make_unique<Cell[]>(cap);
+    for (std::size_t i = 0; i < cap; ++i) {
+      cells_[i].seq.store(i, std::memory_order_relaxed);
     }
   }
 
   Inbox(const Inbox&) = delete;
   Inbox& operator=(const Inbox&) = delete;
 
-  /// Multi-producer push.  Lock-free mode spin-yields while the ring is
-  /// full (backpressure; see file comment).
+  /// Multi-producer push.  Spin-yields while the ring is full
+  /// (backpressure; see file comment).
   void push(Envelope e) {
-    if (!lock_free_) {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(e));
-      return;
-    }
     while (!try_push_ring(e)) std::this_thread::yield();
   }
 
   /// Single-consumer pop; returns false when (momentarily) empty.
   bool try_pop(Envelope& out) {
-    if (!lock_free_) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (queue_.empty()) return false;
-      out = std::move(queue_.front());
-      queue_.pop_front();
-      return true;
-    }
     Cell& cell = cells_[head_ & mask_];
     // The consumer is unique, so head_ needs no atomicity — only the cell
     // handoff does.
@@ -89,12 +67,8 @@ class Inbox {
     return true;
   }
 
-  /// Approximate in lock-free mode (exact when no producer is mid-push).
+  /// Approximate (exact when no producer is mid-push).
   bool empty() const {
-    if (!lock_free_) {
-      std::lock_guard<std::mutex> lock(mu_);
-      return queue_.empty();
-    }
     return cells_[head_ & mask_].seq.load(std::memory_order_acquire) != head_ + 1;
   }
 
@@ -124,13 +98,6 @@ class Inbox {
     }
   }
 
-  const bool lock_free_;
-
-  // Mutex mode.
-  mutable std::mutex mu_;
-  std::deque<Envelope> queue_;
-
-  // Lock-free mode.
   std::unique_ptr<Cell[]> cells_;
   std::size_t mask_ = 0;
   std::atomic<std::size_t> tail_{0};  ///< next enqueue position (producers)

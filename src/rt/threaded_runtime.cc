@@ -61,7 +61,7 @@ void ThreadedRuntime::spawn(sim::Process* p) {
   rec->worker = next_worker_;
   next_worker_ = (next_worker_ + 1) % workers_.size();
   rec->inbox = std::make_unique<Inbox>(
-      Inbox::Options{options_.lock_free_inbox, options_.inbox_capacity});
+      Inbox::Options{options_.inbox_capacity});
   workers_[rec->worker]->procs.push_back(rec.get());
   procs_.emplace(p->id(), std::move(rec));
 }

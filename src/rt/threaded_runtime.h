@@ -48,7 +48,6 @@ class ThreadedRuntime final : public Runtime {
     /// One protocol Duration tick = this many microseconds of real time
     /// (timer granularity of retries, FD periods, probe patience...).
     Duration tick_us = 100;
-    bool lock_free_inbox = true;
     std::size_t inbox_capacity = 1 << 16;
     std::uint64_t seed = 1;
   };

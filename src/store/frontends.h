@@ -9,7 +9,6 @@
 
 #include "baseline/cluster.h"
 #include "commit/cluster.h"
-#include "pc/cluster.h"
 #include "rdma/cluster.h"
 #include "store/runner.h"
 
@@ -127,7 +126,8 @@ class RdmaFrontend : public TcsFrontend {
   std::uint64_t next_read_member_ = 0;
 };
 
-/// Vanilla 2PC-over-Paxos baseline.
+/// 2PC-over-Paxos baseline under any termination policy (classical,
+/// cooperative, Paxos Commit: BaselineCluster::Options::termination).
 class BaselineFrontend : public TcsFrontend {
  public:
   explicit BaselineFrontend(baseline::BaselineCluster& cluster)
@@ -167,49 +167,6 @@ class BaselineFrontend : public TcsFrontend {
  private:
   baseline::BaselineCluster& cluster_;
   baseline::BaselineClient& client_;
-};
-
-/// Paxos Commit (Gray & Lamport): same routing discipline as the baseline
-/// frontend — each transaction goes to the leader of its first participant
-/// shard — but the chosen votes are replicated facts, so the stack stays
-/// live across coordinator crashes (see src/pc/).
-class PaxosCommitFrontend : public TcsFrontend {
- public:
-  explicit PaxosCommitFrontend(pc::PcCluster& cluster)
-      : cluster_(cluster), client_(cluster.add_client()) {
-    client_.on_decision = [this](TxnId t, tcs::Decision d) {
-      if (on_decision) on_decision(t, d);
-    };
-  }
-
-  TxnId next_txn_id() override { return cluster_.next_txn_id(); }
-
-  void submit(TxnId txn, const tcs::Payload& payload) override {
-    client_.certify(cluster_.coordinator_for(payload), txn, payload);
-  }
-
-  /// Re-grouped by coordinator; each group becomes one PC_CERTIFY_BATCH
-  /// and (per participant shard) one Paxos append.
-  void submit_batch(
-      const std::vector<std::pair<TxnId, tcs::Payload>>& batch) override {
-    std::map<ProcessId, std::vector<std::pair<TxnId, tcs::Payload>>> groups;
-    for (const auto& item : batch) {
-      groups[cluster_.coordinator_for(item.second)].push_back(item);
-    }
-    for (auto& [coordinator, group] : groups) {
-      client_.certify_batch(coordinator, group);
-    }
-  }
-
-  std::optional<tcs::Csn> submit_read_only(
-      const std::vector<ObjectId>& objects, Duration staleness_bound = 0) override {
-    // Leader-gated (no member rotation): see PcCluster::snapshot_read.
-    return cluster_.snapshot_read(objects, staleness_bound);
-  }
-
- private:
-  pc::PcCluster& cluster_;
-  pc::PcClient& client_;
 };
 
 }  // namespace ratc::store

@@ -314,7 +314,7 @@ BaselineHarness::BaselineHarness(std::uint64_t seed, const StackWorkload& w)
                 .isolation = w.isolation,
                 .exponential_delays = w.exponential_delays,
                 .enable_tracer = w.capture_trace,
-                .cooperative_termination = w.cooperative_termination}),
+                .termination = w.termination}),
       client_(&cluster_.add_client()) {}
 
 void BaselineHarness::install_fault_injector(sim::FaultInjector* fi) {
@@ -399,7 +399,8 @@ bool BaselineHarness::crash_and_reconfigure(Rng& rng, ShardId s) {
   if (!w_.harness_repair) return true;  // crash-only nemesis: no failover
   if (was_leader) {
     // Fail leadership over to a survivor.  Coordinator state held by the
-    // victim is NOT recovered — classical 2PC blocks those transactions.
+    // victim is NOT recovered as state: classical 2PC blocks those
+    // transactions, the recovery policies finish them from replicated state.
     ProcessId survivor = kNoProcess;
     for (ProcessId m : alive) {
       if (m != victim) survivor = m;
@@ -437,156 +438,7 @@ void BaselineHarness::drain(Duration d, Rng& rng) {
   }
 }
 
-std::string BaselineHarness::check_linearization() {
-  return lin_verdict(cluster_.history(), cluster_.certifier());
-}
-
-std::string BaselineHarness::trace() {
-  return w_.capture_trace ? cluster_.tracer().render() : "";
-}
-
-// --- Paxos Commit -------------------------------------------------------------
-//
-// Deliberately a structural twin of BaselineHarness (same topology, fault
-// units, leader-failover repair and drain discipline): the ladder sweeps
-// then isolate the termination protocol as the only variable between the
-// classical, cooperative and Paxos Commit rungs.
-
-PaxosCommitHarness::PaxosCommitHarness(std::uint64_t seed, const StackWorkload& w)
-    : w_(w),
-      cluster_({.seed = seed,
-                .num_shards = w.num_shards,
-                .shard_size = w.shard_size,
-                .isolation = w.isolation,
-                .exponential_delays = w.exponential_delays,
-                .enable_tracer = w.capture_trace}),
-      client_(&cluster_.add_client()) {}
-
-void PaxosCommitHarness::install_fault_injector(sim::FaultInjector* fi) {
-  cluster_.net().set_fault_injector(fi);
-}
-
-void PaxosCommitHarness::set_on_decision(
-    std::function<void(TxnId, tcs::Decision)> fn) {
-  client_->on_decision = std::move(fn);
-}
-
-bool PaxosCommitHarness::submit(Rng& rng, TxnId txn, const tcs::Payload& payload) {
-  (void)rng;  // routing is deterministic: the leader of the first shard
-  ProcessId coordinator = cluster_.coordinator_for(payload);
-  if (cluster_.sim().crashed(coordinator)) return false;
-  client_->certify(coordinator, txn, payload);
-  return true;
-}
-
-bool PaxosCommitHarness::submit_batch(
-    Rng& rng, const std::vector<std::pair<TxnId, tcs::Payload>>& batch) {
-  (void)rng;
-  std::map<ProcessId, std::vector<std::pair<TxnId, tcs::Payload>>> groups;
-  for (const auto& item : batch) {
-    groups[cluster_.coordinator_for(item.second)].push_back(item);
-  }
-  bool any = false;
-  for (auto& [coordinator, group] : groups) {
-    if (cluster_.sim().crashed(coordinator)) continue;
-    client_->certify_batch(coordinator, group);
-    any = true;
-  }
-  return any;
-}
-
-bool PaxosCommitHarness::snapshot_read(Rng& rng,
-                                       const std::vector<ObjectId>& objects) {
-  (void)rng;  // leader-gated: no member rotation to randomize
-  ++reads_attempted_;
-  bool served =
-      cluster_.snapshot_read(objects, w_.read_staleness_bound).has_value();
-  if (served) ++reads_served_;
-  return served;
-}
-
-std::string PaxosCommitHarness::check_snapshot_reads() {
-  return snapshot_verdict(cluster_.history());
-}
-
-std::vector<ProcessId> PaxosCommitHarness::alive_servers(ShardId s) {
-  std::vector<ProcessId> alive;
-  for (ProcessId m : cluster_.shard_servers(s)) {
-    if (!cluster_.sim().crashed(m)) alive.push_back(m);
-  }
-  return alive;
-}
-
-std::vector<std::vector<ProcessId>> PaxosCommitHarness::fault_units(ShardId s) const {
-  // A machine hosts the participant and its Paxos replica; a partition or
-  // clock fault hits both — identically to the baseline's units.
-  std::vector<std::vector<ProcessId>> units;
-  for (ProcessId m : cluster_.shard_servers(s)) {
-    units.push_back({m, cluster_.paxos_twin(m)});
-  }
-  return units;
-}
-
-std::vector<std::vector<ProcessId>> PaxosCommitHarness::all_units() const {
-  std::vector<std::vector<ProcessId>> units;
-  for (ShardId s = 0; s < cluster_.num_shards(); ++s) {
-    for (auto& u : fault_units(s)) units.push_back(std::move(u));
-  }
-  return units;
-}
-
-bool PaxosCommitHarness::crash_and_reconfigure(Rng& rng, ShardId s) {
-  std::vector<ProcessId> alive = alive_servers(s);
-  std::size_t majority = w_.shard_size / 2 + 1;
-  // Keep a Paxos majority alive after the crash.
-  if (alive.size() <= majority) return false;
-  ProcessId victim = alive[rng.below(alive.size())];
-  bool was_leader = victim == cluster_.leader_server(s);
-  cluster_.crash_server(victim);
-  if (!w_.harness_repair) return true;  // crash-only nemesis: no failover
-  if (was_leader) {
-    // Fail leadership over to a survivor.  Coordinator state held by the
-    // victim is NOT recovered as state — but unlike the baseline, the
-    // replicated vote instances let the survivors terminate every
-    // transaction it left behind.
-    ProcessId survivor = kNoProcess;
-    for (ProcessId m : alive) {
-      if (m != victim) survivor = m;
-    }
-    cluster_.elect_leader(s, survivor);
-  }
-  sim().run_until(sim().now() + 300);
-  return true;
-}
-
-bool PaxosCommitHarness::reconfigure_healthy(Rng& rng, ShardId s) {
-  // Static membership; a leadership handover is the reconfiguration
-  // analogue, as in the baseline.
-  std::vector<ProcessId> alive = alive_servers(s);
-  if (alive.empty()) return false;
-  cluster_.elect_leader(s, alive[rng.below(alive.size())]);
-  sim().run_until(sim().now() + 200);
-  return true;
-}
-
-void PaxosCommitHarness::drain(Duration d, Rng& rng) {
-  (void)rng;
-  sim().run_until(sim().now() + d);
-  // Lost Paxos messages stall slots (commands are not retransmitted); a
-  // re-election by the sitting leader re-proposes pending slots and fills
-  // gaps without disturbing the routing tables.
-  for (int round = 0; round < 2; ++round) {
-    for (ShardId s = 0; s < cluster_.num_shards(); ++s) {
-      ProcessId leader = cluster_.leader_server(s);
-      if (!sim().crashed(leader)) {
-        cluster_.server_by_pid(leader).paxos().start_election();
-      }
-    }
-    sim().run();
-  }
-}
-
-std::string PaxosCommitHarness::verify() {
+std::string BaselineHarness::verify() {
   std::string problems = cluster_.verify();
   if (w_.isolation == "serializability") {
     // End-to-end conflict-graph oracle over the committed projection: the
@@ -602,11 +454,11 @@ std::string PaxosCommitHarness::verify() {
   return problems;
 }
 
-std::string PaxosCommitHarness::check_linearization() {
+std::string BaselineHarness::check_linearization() {
   return lin_verdict(cluster_.history(), cluster_.certifier());
 }
 
-std::string PaxosCommitHarness::trace() {
+std::string BaselineHarness::trace() {
   return w_.capture_trace ? cluster_.tracer().render() : "";
 }
 

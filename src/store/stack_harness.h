@@ -52,7 +52,6 @@
 #include "commit/client.h"
 #include "commit/cluster.h"
 #include "ctrl/placement.h"
-#include "pc/cluster.h"
 #include "rdma/cluster.h"
 #include "recon/engine.h"
 #include "recon/placement.h"
@@ -82,9 +81,9 @@ struct StackWorkload {
   bool capture_trace = true;
   /// RDMA only: also install the fault injector on the one-sided fabric.
   bool faults_on_fabric = true;
-  /// Baseline only: enable cooperative termination (the classical 2PC fix;
-  /// see src/baseline/termination.h).  BaselineCoopHarness forces it on.
-  bool cooperative_termination = false;
+  /// Baseline only: the termination policy (src/baseline/termination.h).
+  /// BaselineCoopHarness and PaxosCommitHarness force theirs.
+  baseline::Termination termination = baseline::Termination::kClassical;
   /// Commit/RDMA stacks: spawn the autonomous reconfiguration controllers
   /// (src/ctrl/), one per shard, which detect failures through the FD and
   /// heal shards with no harness intervention.  The baseline has no
@@ -289,11 +288,14 @@ class RdmaHarness {
 
 /// Vanilla 2PC-over-Paxos baseline: shards of 2f+1 servers, each paired
 /// with a Paxos replica on the same machine.  Coordinator state is not
-/// replicated, so a coordinator crash blocks its in-flight transactions —
-/// the weakness the paper's protocols remove; sweeps document it by tuning
-/// min_decided_fraction down.  No online monitor or TCS-LL oracle exists
-/// for this stack: verify() checks decision agreement across replicas and
-/// shards, and the black-box linearization DFS still applies.
+/// replicated, so under the default classical policy a coordinator crash
+/// blocks its in-flight transactions — the weakness the paper's protocols
+/// remove; sweeps document it by tuning min_decided_fraction down.  No
+/// online monitor or TCS-LL oracle exists for this stack: verify() checks
+/// decision agreement across replicas and shards plus, under
+/// serializability, the conflict graph over the committed projection (it
+/// guards the one property decision agreement cannot see: cyclic commit
+/// orders); the black-box linearization DFS still applies.
 class BaselineHarness {
  public:
   using Workload = StackWorkload;
@@ -331,16 +333,22 @@ class BaselineHarness {
   bool reconfigure_healthy(Rng& rng, ShardId s);
   void drain(Duration d, Rng& rng);
 
-  /// Cooperative-termination counters aggregated over every shard server
-  /// (all zero when the toggle is off).  Surfaced in RunResult so ladder
-  /// sweeps can assert on the blocked/resolved columns directly.
+  /// Termination counters aggregated over every shard server (all zero
+  /// under the classical policy).  Surfaced in RunResult so ladder sweeps
+  /// can assert on the blocked/resolved columns directly.
   baseline::TerminationStats termination_stats() const {
     return cluster_.termination_stats();
   }
 
-  std::string verify() { return cluster_.verify(); }
+  std::string verify();
   std::string check_linearization();
   std::string trace();
+
+ protected:
+  static StackWorkload with_termination(StackWorkload w, baseline::Termination t) {
+    w.termination = t;
+    return w;
+  }
 
  private:
   std::vector<ProcessId> alive_servers(ShardId s);
@@ -352,97 +360,32 @@ class BaselineHarness {
   std::size_t reads_served_ = 0;
 };
 
-/// The baseline with the strongest non-reconfigurable fix bolted on:
-/// cooperative termination (participants resolve in-doubt transactions by
-/// querying their peers — Gray & Lamport, "Consensus on Transaction
-/// Commit").  Everything else — topology, workload salt, pacing, checkers —
-/// is inherited unchanged, so a (seed, schedule) pair faces the classical
-/// and cooperative variants with the identical workload and fault sequence,
-/// isolating the termination protocol as the only difference.
+/// The termination-policy rungs of the strawman ladder.  Everything but the
+/// policy — topology, workload salt, pacing, checkers — is inherited
+/// unchanged, so a (seed, schedule) pair faces every rung with the
+/// identical workload and fault sequence, isolating the termination
+/// protocol as the only difference.
+///
+/// Cooperative termination: participants resolve in-doubt transactions by
+/// querying their peers; the all-prepared window still blocks.
 class BaselineCoopHarness : public BaselineHarness {
  public:
   static constexpr const char* kName = "baseline-coop";
 
   BaselineCoopHarness(std::uint64_t seed, const StackWorkload& w)
-      : BaselineHarness(seed, enable_coop(w)) {}
-
- private:
-  static StackWorkload enable_coop(StackWorkload w) {
-    w.cooperative_termination = true;
-    return w;
-  }
+      : BaselineHarness(seed, with_termination(w, baseline::Termination::kCooperative)) {}
 };
 
-/// Paxos Commit (Gray & Lamport): the ladder's strongest classical rung.
-/// Same machine topology, workload salt, pacing and checker set as the
-/// baseline harnesses, so a (seed, schedule) pair faces all four rungs
-/// with the identical workload and fault sequence — but every
-/// participant's vote is a replicated consensus instance (src/pc/), so a
-/// crashed coordinator never strands a fully-prepared transaction: the
-/// recovery proposer resolves it from the chosen votes (zero all-prepared
-/// blocked windows, asserted by the ladder sweeps).  verify() additionally
-/// runs the serializability conflict-graph checker over the committed
-/// projection — cheap here because the stack's histories stay small, and
-/// it guards the one property the decision-agreement check cannot see
-/// (cyclic commit orders).
-class PaxosCommitHarness {
+/// Paxos Commit (Gray & Lamport), the ladder's strongest classical rung:
+/// every vote is a replicated consensus instance, so a crashed coordinator
+/// never strands a fully-prepared transaction (zero all-prepared blocked
+/// windows, asserted by the ladder sweeps).
+class PaxosCommitHarness : public BaselineHarness {
  public:
-  using Workload = StackWorkload;
   static constexpr const char* kName = "paxos-commit";
-  /// Deliberately the baseline's salt: identical workload streams per seed.
-  static constexpr std::uint64_t kWorkloadSalt = 0xba5e11eULL;
-  static constexpr Duration kPaceHi = 6;
-  static constexpr CheckerSet kCheckers{false, false, true};
 
-  PaxosCommitHarness(std::uint64_t seed, const StackWorkload& w);
-
-  sim::Simulator& sim() { return cluster_.sim(); }
-  pc::PcCluster& cluster() { return cluster_; }
-  void install_fault_injector(sim::FaultInjector* fi);
-  void set_on_decision(std::function<void(TxnId, tcs::Decision)> fn);
-  TxnId next_txn_id() { return cluster_.next_txn_id(); }
-  bool submit(Rng& rng, TxnId txn, const tcs::Payload& payload);
-  /// Groups the batch by coordinator (the leader of each transaction's
-  /// first shard) and sends one PC_CERTIFY_BATCH per group; false if every
-  /// group's coordinator is crashed.
-  bool submit_batch(Rng& rng,
-                    const std::vector<std::pair<TxnId, tcs::Payload>>& batch);
-  std::size_t decided_count() const { return client_->decided_count(); }
-  std::size_t committed_count() { return cluster_.history().committed_count(); }
-  /// CSN fast-path read, leader-gated like the baseline; true iff served.
-  bool snapshot_read(Rng& rng, const std::vector<ObjectId>& objects);
-  std::size_t reads_attempted() const { return reads_attempted_; }
-  std::size_t reads_served() const { return reads_served_; }
-  std::string check_snapshot_reads();
-
-  std::uint32_t num_shards() const { return cluster_.num_shards(); }
-  std::vector<std::vector<ProcessId>> fault_units(ShardId s) const;
-  std::vector<std::vector<ProcessId>> all_units() const;
-  bool crash_and_reconfigure(Rng& rng, ShardId s);
-  bool reconfigure_healthy(Rng& rng, ShardId s);
-  void drain(Duration d, Rng& rng);
-
-  /// Vote-recovery counters (blocked counts only unreachable-peer give-ups
-  /// here, never an all-prepared window — the ladder asserts 0 under pure
-  /// coordinator crashes).
-  pc::TerminationStats termination_stats() const {
-    return cluster_.termination_stats();
-  }
-
-  /// Decision agreement across servers + the serializability conflict
-  /// graph over the committed projection (skipped for other isolations).
-  std::string verify();
-  std::string check_linearization();
-  std::string trace();
-
- private:
-  std::vector<ProcessId> alive_servers(ShardId s);
-
-  StackWorkload w_;
-  pc::PcCluster cluster_;
-  pc::PcClient* client_;
-  std::size_t reads_attempted_ = 0;
-  std::size_t reads_served_ = 0;
+  PaxosCommitHarness(std::uint64_t seed, const StackWorkload& w)
+      : BaselineHarness(seed, with_termination(w, baseline::Termination::kPaxosCommit)) {}
 };
 
 }  // namespace ratc::store

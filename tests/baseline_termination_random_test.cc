@@ -43,8 +43,7 @@ void strike_decision_window(Harness& h, const Payload& p,
   std::vector<ShardId> parts = map.shards_of(p);
   if (parts.empty()) return;
   ShardId s = parts.front();
-  if constexpr (std::is_base_of_v<store::BaselineHarness, Harness> ||
-                std::is_same_v<store::PaxosCommitHarness, Harness>) {
+  if constexpr (std::is_base_of_v<store::BaselineHarness, Harness>) {
     // One strike per shard: 2f+1 = 3 tolerates a single permanent crash.
     if (struck.count(s) > 0) return;
     auto& cluster = h.cluster();

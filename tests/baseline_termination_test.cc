@@ -1,6 +1,8 @@
-// Cooperative termination for the baseline 2PC stack: the decision-inference
-// rules enumerated state-by-state (baseline/termination.h is pure, so every
-// peer-state combination is checked exhaustively), plus staged protocol
+// Termination policies of the baseline 2PC stack: the decision-inference
+// rules enumerated state-by-state for the cooperative and Paxos Commit
+// policies (baseline/termination.h is pure, so every answer map is checked
+// exhaustively and the two tables are diffed row by row), plus staged
+// cooperative-termination protocol
 // scenarios on a live cluster — a decision stranded in the coordinator's
 // shard log, a stranded participant whose decision message was lost, the
 // never-prepared abort rule, and the irreducible all-prepared window.
@@ -19,21 +21,21 @@ using tcs::Payload;
 // --- inference rules, enumerated -----------------------------------------------
 
 using Answers = std::map<ShardId, PeerTxnState>;
+constexpr Termination kCoop = Termination::kCooperative;
+constexpr Termination kPc = Termination::kPaxosCommit;
 
 TEST(TerminationInference, AnyCommittedAnswerResolvesCommit) {
   // Rule 1: a surviving COMMIT decision is adopted, whatever else peers say
   // (a conflicting ABORT cannot coexist — that would be the 2PC safety
   // violation the checkers hunt).
-  EXPECT_EQ(infer_termination({{0, PeerTxnState::kCommitted}}, 3),
+  EXPECT_EQ(infer_termination({{0, PeerTxnState::kCommitted}}, 3, kCoop),
             TerminationOutcome::kCommit);
   EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
-                               {1, PeerTxnState::kCommitted}},
-                              3),
+                               {1, PeerTxnState::kCommitted}}, 3, kCoop),
             TerminationOutcome::kCommit);
   EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
                                {1, PeerTxnState::kCommitted},
-                               {2, PeerTxnState::kPrepared}},
-                              3),
+                               {2, PeerTxnState::kPrepared}}, 3, kCoop),
             TerminationOutcome::kCommit);
 }
 
@@ -41,14 +43,13 @@ TEST(TerminationInference, AnyAbortedOrNeverPreparedAnswerResolvesAbort) {
   // Rule 2: an applied ABORT, a NO vote (answered as kAborted), or a
   // never-prepared peer (which tombstoned the txn before answering) all
   // foreclose commit.
-  EXPECT_EQ(infer_termination({{1, PeerTxnState::kAborted}}, 3),
+  EXPECT_EQ(infer_termination({{1, PeerTxnState::kAborted}}, 3, kCoop),
             TerminationOutcome::kAbort);
-  EXPECT_EQ(infer_termination({{1, PeerTxnState::kNeverPrepared}}, 3),
+  EXPECT_EQ(infer_termination({{1, PeerTxnState::kNeverPrepared}}, 3, kCoop),
             TerminationOutcome::kAbort);
   EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
                                {1, PeerTxnState::kPrepared},
-                               {2, PeerTxnState::kNeverPrepared}},
-                              3),
+                               {2, PeerTxnState::kNeverPrepared}}, 3, kCoop),
             TerminationOutcome::kAbort);
 }
 
@@ -57,21 +58,19 @@ TEST(TerminationInference, AllPreparedAndCoordinatorDeadRemainsBlocked) {
   // is exactly the window classical 2PC cannot escape.
   EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
                                {1, PeerTxnState::kPrepared},
-                               {2, PeerTxnState::kPrepared}},
-                              3),
+                               {2, PeerTxnState::kPrepared}}, 3, kCoop),
             TerminationOutcome::kBlocked);
   // Degenerate single-participant case: the lone shard is in doubt.
-  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared}}, 1),
+  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared}}, 1, kCoop),
             TerminationOutcome::kBlocked);
 }
 
 TEST(TerminationInference, OutstandingAnswersStayUnknown) {
-  EXPECT_EQ(infer_termination({}, 3), TerminationOutcome::kUnknown);
-  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared}}, 3),
+  EXPECT_EQ(infer_termination({}, 3, kCoop), TerminationOutcome::kUnknown);
+  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared}}, 3, kCoop),
             TerminationOutcome::kUnknown);
   EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
-                               {2, PeerTxnState::kPrepared}},
-                              3),
+                               {2, PeerTxnState::kPrepared}}, 3, kCoop),
             TerminationOutcome::kUnknown);
 }
 
@@ -97,11 +96,85 @@ TEST(TerminationInference, ExhaustiveThreeParticipantEnumeration) {
         } else if (foreclosed) {
           expected = TerminationOutcome::kAbort;
         }
-        EXPECT_EQ(infer_termination(answers, 3), expected)
+        EXPECT_EQ(infer_termination(answers, 3, kCoop), expected)
             << to_string(a) << "/" << to_string(b) << "/" << to_string(c);
       }
     }
   }
+}
+
+TEST(TerminationInference, PaxosCommitVoteCases) {
+  // The Paxos Commit table in its own vocabulary: a chosen PREPARED vote is
+  // kPrepared, a chosen ABORT vote (NO or forced closed) or an applied abort
+  // is kAborted, an applied commit is kCommitted.  All participants chose
+  // PREPARED: the outcome is the deterministic meet of exactly these values
+  // — COMMIT, even though no decision record exists anywhere (the
+  // non-blocking rule 2PC lacks).
+  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
+                               {1, PeerTxnState::kPrepared}},
+                              2, kPc),
+            TerminationOutcome::kCommit);
+  // Any chosen ABORT vote aborts immediately.
+  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared},
+                               {1, PeerTxnState::kAborted}},
+                              2, kPc),
+            TerminationOutcome::kAbort);
+  EXPECT_EQ(infer_termination({{1, PeerTxnState::kAborted}}, 2, kPc),
+            TerminationOutcome::kAbort);
+  // A peer that already applied a decision short-circuits the inference.
+  EXPECT_EQ(infer_termination({{0, PeerTxnState::kCommitted}}, 2, kPc),
+            TerminationOutcome::kCommit);
+  EXPECT_EQ(infer_termination({{0, PeerTxnState::kAborted}}, 2, kPc),
+            TerminationOutcome::kAbort);
+  // Missing answers keep the round open (never guess from a subset).
+  EXPECT_EQ(infer_termination({{0, PeerTxnState::kPrepared}}, 2, kPc),
+            TerminationOutcome::kUnknown);
+  EXPECT_EQ(infer_termination({}, 2, kPc), TerminationOutcome::kUnknown);
+  EXPECT_EQ(infer_termination({}, 0, kPc), TerminationOutcome::kUnknown);
+}
+
+TEST(TerminationInference, PoliciesDifferOnlyOnAllPrepared) {
+  // Every answer map for up to three participants — each shard absent or in
+  // one of the four states — under both recovery policies: the tables agree
+  // on every row except the complete all-prepared one, where cooperative
+  // termination stays blocked and Paxos Commit commits.
+  const PeerTxnState kStates[] = {
+      PeerTxnState::kNeverPrepared, PeerTxnState::kPrepared,
+      PeerTxnState::kCommitted, PeerTxnState::kAborted};
+  std::size_t rows = 0, differing = 0;
+  for (std::size_t n = 1; n <= 3; ++n) {
+    std::size_t combos = 1;
+    for (std::size_t i = 0; i < n; ++i) combos *= 5;  // absent + four states
+    for (std::size_t code = 0; code < combos; ++code) {
+      Answers answers;
+      std::string row;
+      for (std::size_t shard = 0, c = code; shard < n; ++shard, c /= 5) {
+        if (c % 5 == 4) {
+          row += "-/";
+          continue;
+        }
+        answers[static_cast<ShardId>(shard)] = kStates[c % 5];
+        row += std::string(to_string(kStates[c % 5])) + "/";
+      }
+      bool all_prepared = answers.size() == n;
+      for (const auto& [shard, state] : answers) {
+        all_prepared &= state == PeerTxnState::kPrepared;
+      }
+      TerminationOutcome coop = infer_termination(answers, n, kCoop);
+      TerminationOutcome pc = infer_termination(answers, n, kPc);
+      ++rows;
+      if (all_prepared) {
+        ++differing;
+        EXPECT_EQ(coop, TerminationOutcome::kBlocked) << row;
+        EXPECT_EQ(pc, TerminationOutcome::kCommit) << row;
+      } else {
+        EXPECT_EQ(coop, pc) << row << " coop=" << to_string(coop)
+                            << " paxos-commit=" << to_string(pc);
+      }
+    }
+  }
+  EXPECT_EQ(rows, 5u + 25u + 125u);
+  EXPECT_EQ(differing, 3u);  // one all-prepared row per participant count
 }
 
 // --- staged protocol scenarios ---------------------------------------------------
@@ -119,7 +192,7 @@ BaselineCluster::Options coop_options(std::uint64_t seed, bool coop) {
   return {.seed = seed,
           .num_shards = 2,
           .shard_size = 3,
-          .cooperative_termination = coop};
+          .termination = coop ? kCoop : Termination::kClassical};
 }
 
 TEST(TerminationProtocol, RecoversDecisionStrandedInCoordinatorShardLog) {

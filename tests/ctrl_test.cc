@@ -185,14 +185,14 @@ TEST(ReconController, UnresolvedAttemptRetriesUntilAnEpochLands) {
 }
 
 TEST(ReconController, CustomPlacementPolicyIsConsulted) {
-  // The PlacementPolicy extension point (ctrl/placement.h): a custom policy
+  // The PlacementPolicy extension point (recon/placement.h): a custom policy
   // that shrinks the shard to a singleton — the controller must install
   // exactly what the policy proposed.
-  class SingletonPolicy final : public PlacementPolicy {
+  class SingletonPolicy final : public recon::PlacementPolicy {
    public:
     const char* name() const override { return "singleton"; }
     configsvc::ShardConfig plan(
-        const PlacementInput& in,
+        const recon::PlacementInput& in,
         const std::function<std::vector<ProcessId>(std::size_t)>&) override {
       ++invocations;
       configsvc::ShardConfig next;

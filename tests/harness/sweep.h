@@ -167,7 +167,7 @@ struct BaselineWorkloadOptions : store::StackWorkload {
 /// in-doubt transactions whose peers know the outcome get resolved, so only
 /// the all-prepared window still blocks.
 struct BaselineCoopWorkloadOptions : BaselineWorkloadOptions {
-  BaselineCoopWorkloadOptions() { cooperative_termination = true; }
+  BaselineCoopWorkloadOptions() { termination = baseline::Termination::kCooperative; }
 };
 
 /// Paxos Commit (store::PaxosCommitHarness): the baseline's topology and
@@ -175,10 +175,9 @@ struct BaselineCoopWorkloadOptions : BaselineWorkloadOptions {
 /// recovery never blocks on the all-prepared window.  The decided-fraction
 /// floor is accordingly higher than the 2PC rungs'; suites override it
 /// with census-calibrated values per schedule shape (pc_random_test.cc).
-struct PaxosCommitWorkloadOptions : store::StackWorkload {
+struct PaxosCommitWorkloadOptions : BaselineWorkloadOptions {
   PaxosCommitWorkloadOptions() {
-    shard_size = 3;  // 2f+1 Paxos groups
-    spares_per_shard = 0;
+    termination = baseline::Termination::kPaxosCommit;
     min_decided_fraction = 0.75;
   }
 };

@@ -1,5 +1,5 @@
-// Seeded fault-injection sweeps for the Paxos Commit stack
-// (store::PaxosCommitHarness), mirroring the baseline suites in
+// Seeded fault-injection sweeps for Paxos Commit (store::PaxosCommitHarness:
+// the baseline under Termination::kPaxosCommit), mirroring the baseline suites in
 // harness_fault_injection_test.cc: crash/failover, partition shapes, lossy
 // links, plus the batching/read-mix knobs and the same-seed-same-trace
 // determinism guarantee.  The decided-fraction floors are calibrated
@@ -9,7 +9,7 @@
 // The stack's distinguishing assertion rides on the termination counters
 // surfaced through RunResult: across every sweep, `term_blocked` must stay
 // 0 on crash-only schedules — vote recovery always terminates because the
-// votes are chosen Paxos values (pc/votes.h), never an unreadable
+// votes are chosen Paxos values (baseline/termination.h), never an unreadable
 // coordinator's volatile memory.
 #include <gtest/gtest.h>
 
@@ -102,7 +102,7 @@ TEST(PaxosCommitFaultSweep, LossySchedulesAreSafe) {
 
 TEST(PaxosCommitFaultSweep, BatchedSubmissionAndReadMix) {
   // The driver's batching and read-mix knobs work unchanged on this stack:
-  // batches ride one PC_CERTIFY_BATCH per coordinator (scalar fallback at
+  // batches ride one B_CERTIFY_BATCH per coordinator (scalar fallback at
   // size 1 is covered by every other suite), and the read mix issues
   // zero-message CSN snapshot reads that the snapshot checker validates
   // against the committed prefix.

@@ -1,4 +1,5 @@
-// Paxos Commit TCS (src/pc/): basic commit/abort flows, the latency edge
+// Paxos Commit (the baseline shard server under Termination::kPaxosCommit):
+// basic commit/abort flows, the latency edge
 // over the baseline (the client reply waits only for the votes to be
 // chosen, not for the decision to apply), log-order arbitration between
 // prepares and recovery force-aborts, and the headline property — a
@@ -6,11 +7,10 @@
 // the votes are replicated facts any recovery proposer can read.
 #include <gtest/gtest.h>
 
+#include "baseline/cluster.h"
 #include "checker/linearization.h"
-#include "pc/cluster.h"
-#include "pc/votes.h"
 
-namespace ratc::pc {
+namespace ratc::baseline {
 namespace {
 
 using tcs::Decision;
@@ -25,33 +25,18 @@ Payload make_payload(std::vector<ObjectId> reads, std::vector<ObjectId> writes,
   return p;
 }
 
-// --- vote inference (pc/votes.h) ----------------------------------------------
-
-TEST(PcVotes, InferOutcomeEnumeration) {
-  using enum VoteState;
-  // All participants answered a chosen PREPARED vote: the outcome is the
-  // deterministic meet of exactly these values — COMMIT, even though no
-  // decision record exists anywhere (the non-blocking rule 2PC lacks).
-  EXPECT_EQ(infer_outcome({{0, kVoteCommit}, {1, kVoteCommit}}, 2),
-            VoteOutcome::kCommit);
-  // Any chosen ABORT vote aborts immediately.
-  EXPECT_EQ(infer_outcome({{0, kVoteCommit}, {1, kVoteAbort}}, 2),
-            VoteOutcome::kAbort);
-  EXPECT_EQ(infer_outcome({{1, kVoteAbort}}, 2), VoteOutcome::kAbort);
-  // A peer that already applied a decision short-circuits the inference.
-  EXPECT_EQ(infer_outcome({{0, kDecidedCommit}}, 2), VoteOutcome::kCommit);
-  EXPECT_EQ(infer_outcome({{0, kDecidedAbort}}, 2), VoteOutcome::kAbort);
-  // Missing answers keep the round open (never guess from a subset).
-  EXPECT_EQ(infer_outcome({{0, kVoteCommit}}, 2), VoteOutcome::kUnknown);
-  EXPECT_EQ(infer_outcome({}, 2), VoteOutcome::kUnknown);
-  EXPECT_EQ(infer_outcome({}, 0), VoteOutcome::kUnknown);
+/// A Paxos Commit cluster: the baseline topology with the non-blocking
+/// termination policy.
+BaselineCluster::Options pc_options(BaselineCluster::Options o) {
+  o.termination = Termination::kPaxosCommit;
+  return o;
 }
 
 // --- basic flows --------------------------------------------------------------
 
 TEST(PaxosCommit, SingleShardCommit) {
-  PcCluster cluster({.seed = 1, .num_shards = 1, .shard_size = 3});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options({.seed = 1, .num_shards = 1, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0}, {0}, 0, 1);
   client.certify(cluster.coordinator_for(p), t, p);
@@ -61,8 +46,8 @@ TEST(PaxosCommit, SingleShardCommit) {
 }
 
 TEST(PaxosCommit, CrossShardCommitWithAllReplicasApplying) {
-  PcCluster cluster({.seed = 2, .num_shards = 2, .shard_size = 3});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options({.seed = 2, .num_shards = 2, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
   client.certify(cluster.coordinator_for(p), t, p);
@@ -79,8 +64,8 @@ TEST(PaxosCommit, CrossShardCommitWithAllReplicasApplying) {
 }
 
 TEST(PaxosCommit, ConflictAborts) {
-  PcCluster cluster({.seed = 3, .num_shards = 1, .shard_size = 3});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options({.seed = 3, .num_shards = 1, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
   TxnId t1 = cluster.next_txn_id(), t2 = cluster.next_txn_id();
   Payload p1 = make_payload({0}, {0}, 0, 1);
   Payload p2 = make_payload({0}, {0}, 0, 1);
@@ -95,8 +80,8 @@ TEST(PaxosCommit, ConflictAborts) {
 }
 
 TEST(PaxosCommit, ManyTransactionsAcrossShards) {
-  PcCluster cluster({.seed = 7, .num_shards = 3, .shard_size = 3});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options({.seed = 7, .num_shards = 3, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
   std::vector<TxnId> txns;
   for (int i = 0; i < 60; ++i) {
     TxnId t = cluster.next_txn_id();
@@ -121,8 +106,8 @@ TEST(PaxosCommit, CrossShardLatencyBeatsBaselineEightDelays) {
   // Paxos Commit the chosen votes ARE the decision, so the coordinator
   // replies as soon as the last vote lands: submit + SUBMIT_PREPARE +
   // Phase2a + Phase2b + vote + reply = 6 delays, two fewer.
-  PcCluster cluster({.seed = 4, .num_shards = 2, .shard_size = 3});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options({.seed = 4, .num_shards = 2, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0}, 0, 1);
   client.certify(cluster.coordinator_for(p), t, p);
@@ -137,8 +122,8 @@ TEST(PaxosCommit, SingleShardLatencyIsOnePaxosRound) {
   // reply waits for one Paxos append of the prepare (the vote), not a
   // second round for the decision: submit + Phase2a + Phase2b + reply = 4
   // (baseline: 6).
-  PcCluster cluster({.seed = 5, .num_shards = 1, .shard_size = 3});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options({.seed = 5, .num_shards = 1, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0}, {0}, 0, 1);
   client.certify(cluster.coordinator_for(p), t, p);
@@ -156,8 +141,8 @@ TEST(PaxosCommit, CoordinatorCrashInAllPreparedWindowStillCommits) {
   // undecidable window).  Here the votes are chosen Paxos values, so the
   // surviving shards' recovery proposers read them back, infer COMMIT, and
   // finish the transaction — client included.
-  PcCluster cluster({.seed = 11, .num_shards = 2, .shard_size = 3});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options({.seed = 11, .num_shards = 2, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
   ProcessId coordinator = cluster.coordinator_for(p);
@@ -165,8 +150,8 @@ TEST(PaxosCommit, CoordinatorCrashInAllPreparedWindowStillCommits) {
 
   // Step tick by tick until the remote shard's leader has applied the
   // prepare (its vote is now chosen) but no decision exists anywhere; the
-  // PC_VOTE message is still in flight toward the coordinator.
-  Participant& remote = cluster.server_by_pid(cluster.leader_server(1));
+  // B_VOTE message is still in flight toward the coordinator.
+  ShardServer& remote = cluster.server_by_pid(cluster.leader_server(1));
   while (!remote.has_prepared(t) && cluster.sim().now() < 100) {
     cluster.sim().run_until(cluster.sim().now() + 1);
   }
@@ -204,15 +189,15 @@ TEST(PaxosCommit, ForceAbortTombstoneWinsRaceAgainstLatePrepare) {
   // txn t's vote instance closed (ABORT) before any prepare reaches the
   // shard.  The tombstone is the chosen value, so a late prepare for t must
   // vote ABORT and the transaction aborts globally.
-  PcCluster cluster({.seed = 12, .num_shards = 2, .shard_size = 3});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options({.seed = 12, .num_shards = 2, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
 
   // Close the instance on shard 1 (a remote participant of p) directly
   // through its Paxos log, as a recovery proposer would.
-  Participant& s1_leader = cluster.server_by_pid(cluster.leader_server(1));
-  s1_leader.paxos().submit(sim::AnyMessage(PcCmdForceAbort{t, kNoProcess}));
+  ShardServer& s1_leader = cluster.server_by_pid(cluster.leader_server(1));
+  s1_leader.paxos().submit(sim::AnyMessage(CmdResolveAbort{t, kNoProcess}));
   cluster.sim().run();
 
   client.certify(cluster.coordinator_for(p), t, p);
@@ -225,16 +210,16 @@ TEST(PaxosCommit, LateForceAbortCannotOverturnChosenVote) {
   // Log-order arbitration, prepare side first: once a transaction has
   // committed, a straggling recovery force-abort must be a no-op — the
   // first vote-determining log entry wins.
-  PcCluster cluster({.seed = 13, .num_shards = 2, .shard_size = 3});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options({.seed = 13, .num_shards = 2, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
   client.certify(cluster.coordinator_for(p), t, p);
   cluster.sim().run();
   ASSERT_EQ(client.decision(t), Decision::kCommit);
 
-  Participant& s1_leader = cluster.server_by_pid(cluster.leader_server(1));
-  s1_leader.paxos().submit(sim::AnyMessage(PcCmdForceAbort{t, kNoProcess}));
+  ShardServer& s1_leader = cluster.server_by_pid(cluster.leader_server(1));
+  s1_leader.paxos().submit(sim::AnyMessage(CmdResolveAbort{t, kNoProcess}));
   cluster.sim().run();
   for (ShardId s = 0; s < 2; ++s) {
     for (std::size_t i = 0; i < 3; ++i) {
@@ -247,8 +232,8 @@ TEST(PaxosCommit, LateForceAbortCannotOverturnChosenVote) {
 // --- failover and reads -------------------------------------------------------
 
 TEST(PaxosCommit, SurvivesMinorityFailureViaElection) {
-  PcCluster cluster({.seed = 8, .num_shards = 2, .shard_size = 3});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options({.seed = 8, .num_shards = 2, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
   TxnId t1 = cluster.next_txn_id();
   Payload p1 = make_payload({0, 1}, {0}, 0, 1);
   client.certify(cluster.coordinator_for(p1), t1, p1);
@@ -270,8 +255,8 @@ TEST(PaxosCommit, SurvivesMinorityFailureViaElection) {
 }
 
 TEST(PaxosCommit, SnapshotReadServesCommittedState) {
-  PcCluster cluster({.seed = 9, .num_shards = 2, .shard_size = 3});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options({.seed = 9, .num_shards = 2, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
   TxnId t = cluster.next_txn_id();
   Payload p = make_payload({0, 1}, {0, 1}, 0, 1);
   client.certify(cluster.coordinator_for(p), t, p);
@@ -287,9 +272,9 @@ TEST(PaxosCommit, SnapshotReadServesCommittedState) {
 }
 
 TEST(PaxosCommit, SnapshotIsolationVariant) {
-  PcCluster cluster(
-      {.seed = 10, .num_shards = 1, .shard_size = 3, .isolation = "snapshot-isolation"});
-  PcClient& client = cluster.add_client();
+  BaselineCluster cluster(pc_options(
+      {.seed = 10, .num_shards = 1, .shard_size = 3, .isolation = "snapshot-isolation"}));
+  BaselineClient& client = cluster.add_client();
   TxnId t1 = cluster.next_txn_id(), t2 = cluster.next_txn_id();
   // Write skew commits under SI.
   Payload p1 = make_payload({0, 2}, {0}, 0, 1);
@@ -302,10 +287,10 @@ TEST(PaxosCommit, SnapshotIsolationVariant) {
 }
 
 TEST(PaxosCommit, BatchCertifyScalarFallbackAndGrouping) {
-  PcCluster cluster({.seed = 14, .num_shards = 2, .shard_size = 3});
-  PcClient& client = cluster.add_client();
-  // Batch of three sharing a coordinator: one PC_CERTIFY_BATCH; a batch of
-  // one degrades to the scalar PC_CERTIFY message.
+  BaselineCluster cluster(pc_options({.seed = 14, .num_shards = 2, .shard_size = 3}));
+  BaselineClient& client = cluster.add_client();
+  // Batch of three sharing a coordinator: one B_CERTIFY_BATCH; a batch of
+  // one degrades to the scalar B_CERTIFY message.
   std::vector<std::pair<TxnId, Payload>> batch;
   for (int i = 0; i < 3; ++i) {
     batch.emplace_back(cluster.next_txn_id(),
@@ -323,10 +308,10 @@ TEST(PaxosCommit, BatchCertifyScalarFallbackAndGrouping) {
   }
   EXPECT_EQ(client.decision(solo), Decision::kCommit);
   const auto& traffic = cluster.net().traffic(client.id());
-  EXPECT_EQ(traffic.sent_by_type.at("PC_CERTIFY_BATCH"), 1u);
-  EXPECT_EQ(traffic.sent_by_type.at("PC_CERTIFY"), 1u);
+  EXPECT_EQ(traffic.sent_by_type.at("B_CERTIFY_BATCH"), 1u);
+  EXPECT_EQ(traffic.sent_by_type.at("B_CERTIFY"), 1u);
   EXPECT_EQ(cluster.verify(), "");
 }
 
 }  // namespace
-}  // namespace ratc::pc
+}  // namespace ratc::baseline

@@ -1,5 +1,5 @@
-// Unit and stress tests for the threaded runtime (src/rt/): inbox FIFO in
-// both queue modes, timer ordering, crash-stop semantics matching
+// Unit and stress tests for the threaded runtime (src/rt/): inbox FIFO and
+// backpressure, timer ordering, crash-stop semantics matching
 // Simulator::crash, graceful shutdown with mail in flight — plus the
 // sim-vs-threaded twin tests: the same commit-protocol workload runs on the
 // deterministic simulator and on real threads, and the threaded histories
@@ -58,9 +58,9 @@ bool eventually(Pred pred, std::chrono::milliseconds limit = 30s) {
 
 // --- Inbox ------------------------------------------------------------------
 
-/// Per-(sender,receiver) FIFO under multi-producer load, both queue modes.
-void inbox_fifo_mode(bool lock_free) {
-  rt::Inbox inbox({lock_free, 1 << 10});
+/// Per-(sender,receiver) FIFO under multi-producer load.
+TEST(Inbox, FifoPerSenderLockFree) {
+  rt::Inbox inbox({1 << 10});
   constexpr std::size_t kProducers = 4;
   constexpr std::uint64_t kPerProducer = 20000;
   std::vector<std::thread> producers;
@@ -92,13 +92,10 @@ void inbox_fifo_mode(bool lock_free) {
   EXPECT_TRUE(inbox.empty());
 }
 
-TEST(Inbox, FifoPerSenderLockFree) { inbox_fifo_mode(true); }
-TEST(Inbox, FifoPerSenderMutex) { inbox_fifo_mode(false); }
-
 TEST(Inbox, BackpressureBlocksInsteadOfReordering) {
   // Capacity 4: the producer must block on the full ring, and the consumer
   // must still see a gapless sequence.
-  rt::Inbox inbox({true, 4});
+  rt::Inbox inbox({4});
   constexpr std::uint64_t kTotal = 1000;
   std::thread producer([&inbox] {
     for (std::uint64_t n = 0; n < kTotal; ++n) {
@@ -357,27 +354,6 @@ TEST(ThreadedStress, TenThousandTxnsSatisfySerializability) {
   auto tcsll = checker::check_tcsll(system.monitor()->tcsll_input(
       history, system.shard_map(), system.certifier()));
   EXPECT_TRUE(tcsll.ok) << tcsll.summary();
-}
-
-TEST(ThreadedStress, MutexInboxModeSurvivesLoad) {
-  // Same system, mutex+deque inboxes: the two queue modes must be
-  // behaviorally interchangeable.
-  rt::ThreadedRuntime trt(
-      {.threads = 4, .lock_free_inbox = false, .seed = 31});
-  rt::CommitSystem system(trt, {.num_shards = 2, .shard_size = 2,
-                                .enable_monitor = false});
-  rt::LoadGen gen(trt, system.coordinators(),
-                  {.clients = 8, .txns_per_client = 50, .batch_size = 2,
-                   .window = 2, .keyspace = 1024, .seed = 31});
-  trt.start();
-  gen.start();
-  ASSERT_TRUE(eventually([&] { return gen.done(); }, 120s));
-  trt.stop();
-  tcs::History history = gen.merged_history();
-  EXPECT_TRUE(history.complete());
-  EXPECT_TRUE(history.conflicting_decisions().empty());
-  auto cg = checker::check_conflict_graph(history);
-  EXPECT_TRUE(cg.ok) << cg.error;
 }
 
 }  // namespace
