@@ -56,7 +56,9 @@ Cluster::Cluster(Options options)
   }
 
   // Initial configurations: epoch 1, first shard_size replicas, first is
-  // leader.  Pre-activated per DESIGN.md Sec. 2 (bootstrap).
+  // leader.  Deviation from the paper: the initial configuration is
+  // pre-activated (stored and installed everywhere) instead of being reached
+  // by a first reconfiguration.
   std::map<ShardId, configsvc::ShardConfig> initial;
   for (ShardId s = 0; s < options_.num_shards; ++s) {
     configsvc::ShardConfig cfg;
@@ -105,7 +107,7 @@ Cluster::Cluster(Options options)
     }
     for (std::size_t i = 0; i < options_.shard_size + options_.spares_per_shard; ++i) {
       ProcessId pid = replica_pid(s, i);
-      auto r = std::make_unique<Replica>(sim_, *net_, pid, ropt);
+      auto r = std::make_unique<Replica>(net_->runtime(), pid, ropt);
       sim_.add_process(r.get());
       if (monitor_) monitor_->register_replica(r.get());
       if (simple_cs_) simple_cs_->subscribe(pid);

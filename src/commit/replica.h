@@ -9,20 +9,30 @@
 //  * reconfigurer: replaces failed replicas via the configuration service
 //    (Vertical-Paxos style probing, Fig. 1 lines 33-69).
 //
-// Code comments cite figure line numbers.  Deviations from the pseudocode
-// are listed in DESIGN.md Sec. 2 (participant lists carried in messages,
-// timer realization of the non-deterministic probing rule, etc.).
+// The leader and coordinator roles run on commit::CertEngine, shared with
+// the RDMA replica; this replica supplies the message-passing transport
+// through ReplicationHooks and keeps what is Fig. 1's own: the follower
+// guards of lines 22 and 31, ack matching by epoch and slot, and the
+// reconfiguration handlers.  The reconfigurer role runs on recon::Engine.
+//
+// Code comments cite figure line numbers.  Deviations from the pseudocode:
+//  * PREPARE carries the transaction's participant list and client
+//    (TxnMeta), so any replica can coordinate or retry it without a lookup;
+//  * the non-deterministic probing rule (line 51) is realized by a timer
+//    (recon::Engine's probe_patience);
+//  * line 24 writes slot k where the paper writes `next`;
+//  * the initial configuration is pre-activated: bootstrap() installs
+//    epoch 1 everywhere instead of running a first reconfiguration.
 #pragma once
 
 #include <functional>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "commit/cert_engine.h"
 #include "commit/log.h"
 #include "commit/messages.h"
-#include "commit/witness_index.h"
 #include "configsvc/client.h"
 #include "configsvc/config.h"
 #include "fd/failure_detector.h"
@@ -38,18 +48,9 @@ namespace ratc::commit {
 
 class Monitor;
 
-enum class Status { kLeader, kFollower, kReconfiguring };
-
-inline const char* to_string(Status s) {
-  switch (s) {
-    case Status::kLeader: return "leader";
-    case Status::kFollower: return "follower";
-    case Status::kReconfiguring: return "reconfiguring";
-  }
-  return "?";
-}
-
-class Replica : public sim::Process, private recon::StackHooks {
+class Replica : public sim::Process,
+                private recon::StackHooks,
+                private ReplicationHooks {
  public:
   struct Options {
     ShardId shard = 0;
@@ -103,8 +104,6 @@ class Replica : public sim::Process, private recon::StackHooks {
   };
 
   Replica(rt::Runtime& rt, ProcessId id, Options options);
-  /// Sim-harness compatibility: binds to `net`'s embedded runtime.
-  Replica(sim::Simulator& sim, sim::Network& net, ProcessId id, Options options);
 
   // --- bootstrap ------------------------------------------------------------
 
@@ -127,7 +126,9 @@ class Replica : public sim::Process, private recon::StackHooks {
   /// dropping it on the floor.
   void certify_local(TxnId txn, const tcs::Payload& payload,
                      std::function<void(tcs::Decision, Time)> cb,
-                     ProcessId origin = kNoProcess);
+                     ProcessId origin = kNoProcess) {
+    cert_.certify_local(txn, payload, std::move(cb), origin);
+  }
 
   /// Batched certify with this replica as coordinator of every item: the
   /// batch is grouped into one PREPARE_BATCH per participant shard (one
@@ -139,7 +140,9 @@ class Replica : public sim::Process, private recon::StackHooks {
   void certify_batch_local(
       const std::vector<std::pair<TxnId, tcs::Payload>>& batch,
       std::function<void(TxnId, tcs::Decision, Time)> cb,
-      ProcessId origin = kNoProcess);
+      ProcessId origin = kNoProcess) {
+    cert_.certify_batch_local(batch, std::move(cb), origin);
+  }
 
   // --- recovery API -------------------------------------------------------------
 
@@ -148,17 +151,17 @@ class Replica : public sim::Process, private recon::StackHooks {
   void reconfigure(ShardId s);
 
   /// Coordinator recovery for the transaction in slot k (line 70).
-  void retry(Slot k);
+  void retry(Slot k) { cert_.retry(k); }
 
   // --- introspection (used by monitors, tests, benches) ---------------------
 
   ShardId shard() const { return options_.shard; }
-  Status status() const { return status_; }
+  Status status() const { return cert_.status(); }
   bool initialized() const { return initialized_; }
   Epoch epoch() const { return view(options_.shard).epoch; }
   Epoch new_epoch() const { return new_epoch_; }
-  const ReplicaLog& log() const { return log_; }
-  Slot next() const { return next_; }
+  const ReplicaLog& log() const { return cert_.log(); }
+  Slot next() const { return cert_.next(); }
   const configsvc::ShardConfig& view(ShardId s) const;
   bool is_probing() const { return engine_.in_flight(); }
   /// The shared reconfigurer core this replica's reconfigurer role runs on
@@ -177,57 +180,45 @@ class Replica : public sim::Process, private recon::StackHooks {
   /// The largest snapshot this replica can currently serve: just below the
   /// smallest prepare stamp among prepared-undecided slots, or `now` when
   /// every filled slot is decided.
-  tcs::Csn read_watermark() const;
+  tcs::Csn read_watermark() const { return cert_.read_watermark(); }
 
   /// The multi-version committed state CSN reads are served from.
-  const store::SnapshotStore& snapshot_store() const { return store_; }
+  const store::SnapshotStore& snapshot_store() const { return cert_.snapshot_store(); }
 
   void on_message(ProcessId from, const sim::AnyMessage& msg) override;
 
  private:
-  struct ShardProgress {
-    bool have_prepare_ack = false;
-    Epoch epoch = kNoEpoch;
-    Slot slot = kNoSlot;
-    tcs::Decision vote = tcs::Decision::kAbort;
-    Time prepare_ts = 0;  ///< leader's CSN stamp; csn(t).ts = max over shards
-    std::set<ProcessId> follower_acks;
-  };
-  struct CoordState {
-    TxnMeta meta;
-    std::map<ShardId, ShardProgress> progress;
-    bool decided = false;
-    /// Set for co-located clients; second arg is csn(t).ts (0 for aborts).
-    std::function<void(tcs::Decision, Time)> local_cb;
-    /// Per-shard payload projections, kept so the coordinator can re-send a
-    /// PREPARE that died with a crashed leader (empty for ⊥ retries).
-    std::map<ShardId, tcs::Payload> shard_payloads;
-    Time last_driven = 0;  ///< when PREPAREs were last (re-)sent
-  };
-
-  // Fig. 1 handlers.
-  void start_certification(TxnMeta meta, const tcs::Payload* full_payload,
-                           std::function<void(tcs::Decision, Time)> local_cb);
-  /// CERTIFY_BATCH: certify_batch_local's shape, but decisions go back to
-  /// `client` as DECISION_CLIENT messages.
-  void certify_batch_remote(ProcessId client,
-                            const std::vector<CertifyRequest>& items);
+  // Fig. 1 handlers; the shared leader/coordinator steps run on cert_.
   void handle_prepare(ProcessId from, const Prepare& m);            // line 4
-  void handle_prepare_ack(ProcessId from, const PrepareAck& m);     // line 18
-  void handle_accept(ProcessId from, const Accept& m);              // line 21
-  void handle_accept_ack(ProcessId from, const AcceptAck& m);       // line 26
-  void handle_decision(ProcessId from, const DecisionMsg& m);       // line 30
-
-  // Batched variants: apply the items in order through the scalar logic,
-  // then coalesce the outbound messages (one ack batch per destination).
   void handle_prepare_batch(ProcessId from, const PrepareBatch& m);
-  void handle_prepare_ack_batch(ProcessId from, const PrepareAckBatch& m);
+  void handle_accept(ProcessId from, const Accept& m);              // line 21
   void handle_accept_batch(ProcessId from, const AcceptBatch& m);
-  void handle_accept_ack_batch(ProcessId from, const AcceptAckBatch& m);
+  void handle_decision(ProcessId from, const DecisionMsg& m);       // line 30
   void handle_probe(ProcessId from, const Probe& m);                // line 40
   void handle_new_config(ProcessId from, const NewConfig& m);       // line 56
   void handle_new_state(ProcessId from, const NewState& m);         // line 61
   void handle_config_change(const configsvc::ConfigChange& m);      // line 67
+
+  /// Lines 22-25 without the send: applies the ACCEPT and fills *ack plus
+  /// the coordinator it must go to.  Returns false if the line-22 guard
+  /// rejects it.
+  bool apply_accept(ProcessId from, const Accept& m, AcceptAck* ack,
+                    ProcessId* coordinator);
+
+  // ReplicationHooks — the message-passing transport of cert_.
+  Epoch epoch_of(ShardId s) const override { return view(s).epoch; }
+  ProcessId leader_of(ShardId s) const override { return view(s).leader; }
+  std::vector<ProcessId> followers_of(ShardId s) const override {
+    return view(s).followers();
+  }
+  void replicate(ProcessId follower, const Accept& acc) override;
+  void replicate_batch(ProcessId follower, std::vector<Accept> items) override;
+  void ship_decision(const DecisionMsg& d) override;
+  void on_vote_computed(ShardId shard, Epoch epoch, Slot slot, TxnId txn,
+                        tcs::Decision vote, const tcs::Payload& payload,
+                        std::vector<TxnId> committed,
+                        std::vector<TxnId> prepared) override;
+  void on_local_decision(TxnId txn, tcs::Decision d) override;
 
   // recon::StackHooks — the substrate adapter for the shared reconfigurer
   // core (recon::Engine), which runs lines 33-55 + the CAS spare ledger.
@@ -245,71 +236,6 @@ class Replica : public sim::Process, private recon::StackHooks {
   void activate(const recon::Proposal& proposal) override;
   recon::PlacementContext placement_context(ShardId shard) override;
 
-  /// Prepares a transaction at the leader and replies with PREPARE_ACK
-  /// (lines 6-17).
-  void prepare_and_ack(ProcessId coordinator, const Prepare& m);
-
-  /// Lines 6-17 without the sends: appends (or re-reads) the slot and
-  /// returns the ack to ship.  Shared by the scalar and batched paths.
-  PrepareAck prepare_txn(const Prepare& m);
-
-  /// Lines 19-20's bookkeeping without the sends: records the ack against
-  /// the coordination and fills *accept for replication.  Returns false if
-  /// the line-19 guard rejects the ack (stale epoch, unknown or decided
-  /// coordination).
-  bool note_prepare_ack(const PrepareAck& m, Accept* accept);
-
-  /// Lines 22-25 without the send: applies the ACCEPT and fills *ack plus
-  /// the coordinator it must go to.  Returns false if the line-22 guard
-  /// rejects it.
-  bool apply_accept(ProcessId from, const Accept& m, AcceptAck* ack,
-                    ProcessId* coordinator);
-
-  struct Witnesses {
-    std::vector<const tcs::Payload*> l1, l2;
-    std::vector<TxnId> committed, prepared;
-  };
-  /// The L1/L2 sets (and their transaction ids) for a vote at `slot` by
-  /// flat log scan — kept as the reference implementation the witness index
-  /// is cross-checked against (Options::check_certifier_index).
-  Witnesses collect_witnesses(Slot slot) const;
-
-  /// Computes the vote for the freshly appended slot (line 12) through the
-  /// witness index, reporting the witness sets to the monitor.
-  tcs::Decision compute_vote(Slot slot, const tcs::Payload& l);
-
-  /// Aborts the process if the index's vote/witnesses for `slot` diverge
-  /// from the flat scan (no-op unless check_certifier_index).
-  void check_index_against_flat(Slot slot, tcs::Decision indexed_vote,
-                                const tcs::Payload& l,
-                                const WitnessIndex::Witnesses& w) const;
-
-  /// Sets-only variant for forced-abort slots (Fig. 1 line 15): the vote is
-  /// a protocol constant there, so only T_s/P_s are comparable to the flat
-  /// scan (no-op unless check_certifier_index).
-  void check_index_sets_against_flat(Slot slot,
-                                     const WitnessIndex::Witnesses& w) const;
-
-  /// Line 26's standing "when" condition, evaluated after every relevant
-  /// event for the given transaction.
-  void check_coordination(TxnId txn);
-
-  /// Refiles every decided-commit log entry into the snapshot store under
-  /// its csn (log replacement / leader takeover).
-  void rebuild_snapshot_store();
-
-  void arm_retry_timer();
-  /// One retry-timer firing: collect the stale prepared slots, then
-  /// rate-limit and re-drive each exactly once (line 70), then re-drive
-  /// undecided coordinations.  Collect-then-act so nothing mutates
-  /// prepared_at_ while it is being iterated.
-  void run_retry_tick();
-  /// Re-sends PREPAREs of undecided coordinated transactions to the current
-  /// leaders (see the definition for why the line-70 retry cannot cover
-  /// them).  `driven_this_tick` holds the transactions the slot-retry pass
-  /// of the same tick already re-drove, to assert none is driven twice.
-  void redrive_coordinations(const std::set<TxnId>& driven_this_tick);
-
   Options options_;
   configsvc::CsClient cs_;
   fd::Responder fd_responder_;
@@ -317,30 +243,14 @@ class Replica : public sim::Process, private recon::StackHooks {
   /// The reconfigurer role (lines 33-55), shared with every other stack
   /// through recon::Engine; this replica only supplies the hooks above.
   recon::Engine engine_;
+  /// The leader and coordinator roles (lines 1-32, 70-73) and the shard
+  /// state they share: log, witness index, snapshot store, status.
+  CertEngine cert_;
 
-  // Fig. 1 process state.
-  Status status_ = Status::kReconfiguring;
+  // Fig. 1 process state outside the shared core.
   bool initialized_ = false;
   Epoch new_epoch_ = kNoEpoch;
   std::map<ShardId, configsvc::ShardConfig> views_;  // epoch/members/leader arrays
-  ReplicaLog log_;
-  Slot next_ = 0;
-  /// Object-indexed view of log_ (the certification hot path); maintained on
-  /// every prepare/decide, rebuilt on log replacement and leader takeover.
-  WitnessIndex index_;
-
-  // Coordinator state.  Decided entries stay as slim tombstones (so a late
-  // retry cannot re-coordinate); the index below keeps the re-drive scan
-  // bounded by the undecided set.
-  std::map<TxnId, CoordState> coord_;
-  std::set<TxnId> undecided_coords_;
-
-  // Local bookkeeping for the retry timer.
-  std::map<Slot, Time> prepared_at_;
-
-  /// Committed multi-version state, filed under Csn{csn_ts, txn}; rebuilt
-  /// from the log on NEW_STATE / leader takeover.
-  store::SnapshotStore store_;
 };
 
 }  // namespace ratc::commit

@@ -110,12 +110,12 @@ Cluster::Cluster(Options options)
     }
     for (std::size_t i = 0; i < options_.shard_size + options_.spares_per_shard; ++i) {
       ProcessId pid = replica_pid(s, i);
-      auto r = std::make_unique<Replica>(sim_, *net_, *fabric_, pid, ropt);
+      auto r = std::make_unique<Replica>(net_->runtime(), *fabric_, pid, ropt);
       sim_.add_process(r.get());
       monitor_->register_replica(r.get());
       if (cs_) cs_->subscribe(pid);
       if (i < options_.shard_size) {
-        r->bootstrap(i == 0 ? Status::kLeader : Status::kFollower, initial);
+        r->bootstrap(i == 0 ? commit::Status::kLeader : commit::Status::kFollower, initial);
       } else {
         r->bootstrap_spare(initial);
       }

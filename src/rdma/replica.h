@@ -11,6 +11,12 @@
 //    NEW_CONFIG, re-open via CONNECT) — Fig. 8;
 //  * processes keep one `epoch` variable instead of a per-shard vector.
 //
+// The leader and coordinator roles are commit::CertEngine, shared with the
+// message-passing replica; this replica supplies the one-sided transport
+// through commit::ReplicationHooks and keeps what is Fig. 7's own: the
+// unguarded RAccept landing, ack matching by write token, and the
+// reconfiguration handlers.
+//
 // The replica also implements ReconfigMode::kPerShardUnsafe: the Fig. 1
 // reconfiguration (per-shard, no connection management) combined with the
 // RDMA data path.  This is the protocol the paper proves INCORRECT via the
@@ -24,9 +30,9 @@
 #include <utility>
 #include <vector>
 
+#include "commit/cert_engine.h"
 #include "commit/log.h"
 #include "commit/messages.h"
-#include "commit/witness_index.h"
 #include "configsvc/client.h"
 #include "configsvc/config.h"
 #include "fd/failure_detector.h"
@@ -49,9 +55,9 @@ enum class ReconfigMode {
   kPerShardUnsafe,  ///< Fig. 4a strawman: per-shard reconfiguration + RDMA
 };
 
-enum class Status { kLeader, kFollower, kReconfiguring };
-
-class Replica : public sim::Process, private recon::StackHooks {
+class Replica : public sim::Process,
+                private recon::StackHooks,
+                private commit::ReplicationHooks {
  public:
   struct Options {
     ShardId shard = 0;
@@ -87,12 +93,10 @@ class Replica : public sim::Process, private recon::StackHooks {
   };
 
   Replica(rt::Runtime& rt, Fabric& fabric, ProcessId id, Options options);
-  Replica(sim::Simulator& sim, sim::Network& net, Fabric& fabric, ProcessId id,
-          Options options);
 
   /// Installs the pre-activated initial configuration.  The harness opens
   /// the initial RDMA connections.
-  void bootstrap(Status status, const configsvc::GlobalConfig& config);
+  void bootstrap(commit::Status status, const configsvc::GlobalConfig& config);
   void bootstrap_spare(const configsvc::GlobalConfig& config);
 
   /// As commit::Replica::certify_local: the callback's Time is csn(t).ts
@@ -100,7 +104,9 @@ class Replica : public sim::Process, private recon::StackHooks {
   /// coordinator routes the decision to after a crash.
   void certify_local(TxnId txn, const tcs::Payload& payload,
                      std::function<void(tcs::Decision, Time)> cb,
-                     ProcessId origin = kNoProcess);
+                     ProcessId origin = kNoProcess) {
+    cert_.certify_local(txn, payload, std::move(cb), origin);
+  }
 
   /// Batched certify with this replica as coordinator of every item (see
   /// commit::Replica::certify_batch_local): one PREPARE_BATCH per shard
@@ -108,22 +114,24 @@ class Replica : public sim::Process, private recon::StackHooks {
   void certify_batch_local(
       const std::vector<std::pair<TxnId, tcs::Payload>>& batch,
       std::function<void(TxnId, tcs::Decision, Time)> cb,
-      ProcessId origin = kNoProcess);
+      ProcessId origin = kNoProcess) {
+    cert_.certify_batch_local(batch, std::move(cb), origin);
+  }
 
   /// Global reconfiguration (safe mode, Fig. 8 line 103).
   void reconfigure();
   /// Per-shard reconfiguration (unsafe mode only).
   void reconfigure_shard(ShardId s);
 
-  void retry(Slot k);
+  void retry(Slot k) { cert_.retry(k); }
 
   ShardId shard() const { return options_.shard; }
-  Status status() const { return status_; }
+  commit::Status status() const { return cert_.status(); }
   bool initialized() const { return initialized_; }
-  Epoch epoch() const;
-  const commit::ReplicaLog& log() const { return log_; }
+  Epoch epoch() const { return epoch_of(options_.shard); }
+  const commit::ReplicaLog& log() const { return cert_.log(); }
   const configsvc::GlobalConfig& global_config() const { return config_; }
-  ProcessId leader_of(ShardId s) const;
+  ProcessId leader_of(ShardId s) const override;
   std::vector<ProcessId> members_of(ShardId s) const;
   const std::set<ProcessId>& connections() const { return connections_; }
   /// The shared reconfigurer core (stats + spare-ledger introspection).
@@ -137,63 +145,31 @@ class Replica : public sim::Process, private recon::StackHooks {
   // the slot prepared here, where it gates the watermark.
 
   /// The largest snapshot this replica can currently serve.
-  tcs::Csn read_watermark() const;
+  tcs::Csn read_watermark() const { return cert_.read_watermark(); }
 
   /// The multi-version committed state CSN reads are served from.
-  const store::SnapshotStore& snapshot_store() const { return store_; }
+  const store::SnapshotStore& snapshot_store() const { return cert_.snapshot_store(); }
 
   void on_message(ProcessId from, const sim::AnyMessage& msg) override;
 
  private:
-  struct ShardProgress {
-    bool have_prepare_ack = false;
-    Epoch epoch = kNoEpoch;
-    Slot slot = kNoSlot;
-    tcs::Decision vote = tcs::Decision::kAbort;
-    Time prepare_ts = 0;  ///< leader's CSN stamp; csn(t).ts = max over shards
-    std::set<ProcessId> pending_writes;  ///< followers whose ack is awaited
-    std::set<ProcessId> acked;
-  };
-  struct CoordState {
-    commit::TxnMeta meta;
-    std::map<ShardId, ShardProgress> progress;
-    bool decided = false;
-    /// Set for co-located clients; second arg is csn(t).ts (0 for aborts).
-    std::function<void(tcs::Decision, Time)> local_cb;
-    /// Per-shard projections for coordinator re-drive (see
-    /// redrive_coordinations); empty for ⊥ retries.
-    std::map<ShardId, tcs::Payload> shard_payloads;
-    Time last_driven = 0;
-  };
-  // Certification path (Fig. 7).
-  void start_certification(commit::TxnMeta meta, const tcs::Payload* full_payload,
-                           std::function<void(tcs::Decision, Time)> local_cb);
+  // Certification path (Fig. 7); the shared steps run on cert_.
   void handle_prepare(ProcessId from, const commit::Prepare& m);
-  void prepare_and_ack(ProcessId coordinator, const commit::Prepare& m);
   void handle_prepare_batch(ProcessId from, const commit::PrepareBatch& m);
-  /// Fig. 7 lines 78-90 without the send; shared by the scalar and batched
-  /// paths.
-  commit::PrepareAck prepare_txn(const commit::Prepare& m);
-  tcs::Decision compute_vote(Slot slot, const tcs::Payload& l);
-  /// Aborts on divergence between the witness index and the flat scan
-  /// (no-op unless check_certifier_index).
-  void check_index_against_flat(Slot slot, tcs::Decision indexed_vote,
-                                const tcs::Payload& l,
-                                const commit::WitnessIndex::Witnesses& w) const;
-  /// Sets-only variant for forced-abort slots, where the vote is a protocol
-  /// constant rather than an index computation.
-  void check_index_sets_against_flat(
-      Slot slot, const commit::WitnessIndex::Witnesses& w) const;
-  void handle_prepare_ack(const commit::PrepareAck& m);
-  void handle_prepare_ack_batch(const commit::PrepareAckBatch& m);
-  /// Line 92's bookkeeping without the one-sided writes: records the ack
-  /// and fills *accept; false if the guard rejects it.
-  bool note_prepare_ack(const commit::PrepareAck& m, RAccept* accept);
   void deliver_rdma(ProcessId from, const sim::AnyMessage& msg);
-  void apply_raccept(const RAccept& a);    // line 95
-  void apply_rdecision(const RDecision& d);  // line 102
   void handle_rdma_ack(const RdmaAck& ack);
-  void check_coordination(TxnId txn);
+
+  // commit::ReplicationHooks — the one-sided transport of cert_.
+  Epoch epoch_of(ShardId s) const override;
+  std::vector<ProcessId> followers_of(ShardId s) const override;
+  void replicate(ProcessId follower, const commit::Accept& acc) override;
+  void replicate_batch(ProcessId follower, std::vector<commit::Accept> items) override;
+  void ship_decision(const commit::DecisionMsg& d) override;
+  void on_vote_computed(ShardId shard, Epoch epoch, Slot slot, TxnId txn,
+                        tcs::Decision vote, const tcs::Payload& payload,
+                        std::vector<TxnId> committed,
+                        std::vector<TxnId> prepared) override;
+  void on_local_decision(TxnId txn, tcs::Decision d) override;
 
   // Reconfiguration (Fig. 8 for safe mode; Fig. 1 lines 33-69 for unsafe).
   // The probe/descend/placement/CAS lifecycle lives in recon::Engine; the
@@ -215,19 +191,6 @@ class Replica : public sim::Process, private recon::StackHooks {
   void handle_new_config_unsafe(const commit::NewConfig& m);
   void handle_new_state_unsafe(ProcessId from, const commit::NewState& m);
   void handle_config_change(const configsvc::ConfigChange& m);
-
-  /// Refiles every decided-commit log entry into the snapshot store under
-  /// its csn (log replacement / leader takeover).
-  void rebuild_snapshot_store();
-
-  void arm_retry_timer();
-  /// One retry-timer firing, collect-then-act (see commit::Replica).
-  void run_retry_tick();
-  /// Re-sends PREPAREs of undecided coordinated transactions to the current
-  /// leaders; runs on the retry timer.  `driven_this_tick` asserts no
-  /// transaction is re-driven twice within one tick.
-  void redrive_coordinations(const std::set<TxnId>& driven_this_tick);
-  Epoch view_epoch(ShardId s) const;
 
   // recon::StackHooks.
   void fetch_latest(const std::vector<ShardId>& shards,
@@ -251,7 +214,6 @@ class Replica : public sim::Process, private recon::StackHooks {
   fd::Responder fd_responder_;
   RdmaMonitor* monitor_;
 
-  Status status_ = Status::kReconfiguring;
   bool initialized_ = false;
   Epoch new_epoch_ = kNoEpoch;
   Epoch epoch_ = kNoEpoch;  ///< the single system epoch (safe mode)
@@ -259,11 +221,6 @@ class Replica : public sim::Process, private recon::StackHooks {
   configsvc::GlobalConfig pending_config_;  ///< staged by CONFIG_PREPARE
   /// Unsafe mode: per-shard views, as in Fig. 1.
   std::map<ShardId, configsvc::ShardConfig> views_;
-  commit::ReplicaLog log_;
-  Slot next_ = 0;
-  /// Object-indexed view of log_ (see commit::WitnessIndex); rebuilt on log
-  /// replacement and leadership takeover.
-  commit::WitnessIndex index_;
   std::set<ProcessId> connections_;
 
   // Reconfigurer: the probe/descend/CAS core is engine_; what remains here
@@ -273,21 +230,14 @@ class Replica : public sim::Process, private recon::StackHooks {
   configsvc::GlobalConfig recon_config_;
   std::set<ProcessId> config_prepare_acks_;
 
-  // Coordinator state; decided entries stay as slim tombstones and the
-  // index bounds the re-drive scan (see commit::Replica).
-  std::map<TxnId, CoordState> coord_;
-  std::set<TxnId> undecided_coords_;
+  /// The leader and coordinator roles (Fig. 7) and the shard state they
+  /// share: log, witness index, snapshot store, status.
+  commit::CertEngine cert_;
   /// RDMA write tokens -> (txn, shard, follower) per batched item, for ack
   /// matching (scalar writes hold one entry; a batched write's single NIC
   /// ack fans out to every item it carried).
   std::map<std::uint64_t, std::vector<std::tuple<TxnId, ShardId, ProcessId>>>
       write_tokens_;
-
-  std::map<Slot, Time> prepared_at_;
-
-  /// Committed multi-version state, filed under Csn{csn_ts, txn}; rebuilt
-  /// from the log on RNEW_STATE / NEW_STATE / leader takeover.
-  store::SnapshotStore store_;
 };
 
 }  // namespace ratc::rdma

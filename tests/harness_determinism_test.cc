@@ -165,6 +165,65 @@ TEST(RdmaDeterminism, SameSeedIdenticalTrace) {
   EXPECT_EQ(a.problems, b.problems);
 }
 
+// Cross-commit trace identity for the two stacks that share
+// commit::CertEngine.  The same-seed tests above compare two runs of one
+// build; this table pins the fingerprints themselves, so a refactor that
+// moves one send, one timer or one decision changes a row.  The values hold
+// in Release and Debug+ASan builds alike.  A deliberate behaviour change
+// regenerates them: zero the `fingerprint` column, run
+//   harness_determinism_test --gtest_filter='CertCoreTraceIdentity.*'
+// and paste the rows the failures print.
+struct PinnedRun {
+  const char* stack;  ///< "commit" or "rdma"
+  std::uint64_t seed;
+  std::size_t batch_size;
+  double read_fraction;
+  std::uint64_t fingerprint;
+};
+
+constexpr PinnedRun kPinnedRuns[] = {
+    {"commit", 1, 1, 0.0, 0x5d92ba5ee0ae20efULL},
+    {"commit", 1, 4, 0.0, 0x49d29804671db80fULL},
+    {"commit", 2, 1, 0.0, 0x196d6831bc0af8e3ULL},
+    {"commit", 2, 4, 0.0, 0x55a73f0082380e03ULL},
+    {"commit", 3, 1, 0.0, 0xe581cbd9a656620cULL},
+    {"commit", 3, 4, 0.0, 0x6da75c6cc24fd58aULL},
+    {"commit", 4, 1, 0.0, 0xd11f373cdb4a2eafULL},
+    {"commit", 4, 4, 0.2, 0x013d9fbf17b481b0ULL},
+    {"rdma", 1, 1, 0.0, 0x768cddbb19bf6ee5ULL},
+    {"rdma", 1, 4, 0.0, 0x1d001e7b4721f781ULL},
+    {"rdma", 2, 1, 0.0, 0x2642805e92b9dc04ULL},
+    {"rdma", 2, 4, 0.0, 0x7f7362a973bbcdefULL},
+    {"rdma", 3, 1, 0.0, 0x2a2c566047e273b6ULL},
+    {"rdma", 3, 4, 0.0, 0x3dd5f40902fada30ULL},
+    {"rdma", 4, 1, 0.0, 0x5b560cd3334bbcc3ULL},
+    {"rdma", 4, 4, 0.0, 0x72f43817d9604231ULL},
+};
+
+TEST(CertCoreTraceIdentity, PinnedFingerprints) {
+  for (const PinnedRun& row : kPinnedRuns) {
+    Rng r(row.seed);
+    Schedule s = generate_schedule(r, small_schedule());
+    RunResult res;
+    if (std::string(row.stack) == "commit") {
+      CommitWorkloadOptions w = small_commit_workload();
+      w.batch_size = row.batch_size;
+      w.read_fraction = row.read_fraction;
+      res = run_commit_workload(row.seed, w, s);
+    } else {
+      RdmaWorkloadOptions w;
+      w.total_txns = 50;
+      w.drain = 4000;
+      w.batch_size = row.batch_size;
+      w.read_fraction = row.read_fraction;
+      res = run_rdma_workload(row.seed, w, s);
+    }
+    EXPECT_EQ(res.fingerprint, row.fingerprint)
+        << "row: {\"" << row.stack << "\", " << row.seed << ", " << row.batch_size
+        << ", " << row.read_fraction << ", 0x" << std::hex << res.fingerprint << "ULL},";
+  }
+}
+
 TEST(PaxosDeterminism, SameSeedIdenticalTrace) {
   PaxosWorkloadOptions w;
   w.total_txns = 30;
